@@ -138,113 +138,10 @@ fn bench_tableau_vs_rows(b: &mut Bench) {
     });
 }
 
-fn bench_checkpoint_vs_scratch(b: &mut Bench) {
-    use std::sync::Arc;
-
-    use omega::{
-        Budget, LinExpr, PairContext, ProblemLike, Problem, SolverCache, SolverOptions, VarKind,
-    };
-
-    // A "delta storm": the cold-path shape the checkpoint exists for.
-    // One delta-eligible base — a coupled triangular nest whose two
-    // equalities the solver must eliminate — hit with a stream of
-    // distinct delta batches (distance-probe-shaped bounds), every one a
-    // memo miss against a fresh cache. From scratch, each miss
-    // re-normalizes and re-eliminates the base; with checkpointing the
-    // base is eliminated once (recorded on the second miss) and every
-    // later miss resumes.
-    // Two coupled iteration vectors (the dependence-pair shape: source
-    // i..l, destination i'..l') with subscript-equality couplings whose
-    // non-unit coefficients force mod-hat elimination passes — the work
-    // a resume skips.
-    let mut base = Problem::new();
-    let i = base.add_var("i", VarKind::Input);
-    let j = base.add_var("j", VarKind::Input);
-    let k = base.add_var("k", VarKind::Input);
-    let l = base.add_var("l", VarKind::Input);
-    let i2 = base.add_var("i'", VarKind::Input);
-    let j2 = base.add_var("j'", VarKind::Input);
-    let k2 = base.add_var("k'", VarKind::Input);
-    let l2 = base.add_var("l'", VarKind::Input);
-    let n = base.add_var("n", VarKind::Symbolic);
-    for &(v, lo) in &[(i, 1), (j, 1), (k, 1), (l, 0), (i2, 1), (j2, 1), (k2, 1), (l2, 0)] {
-        base.add_geq(LinExpr::var(v).plus_const(-lo));
-        base.add_geq(LinExpr::var(n).plus_term(-1, v));
-    }
-    base.add_geq(LinExpr::var(j).plus_term(-1, i));
-    base.add_geq(LinExpr::var(j2).plus_term(-1, i2));
-    base.add_eq(LinExpr::term(2, i).plus_term(-3, i2).plus_term(1, l).plus_const(3));
-    base.add_eq(LinExpr::term(2, j).plus_term(-2, j2).plus_term(-1, l2));
-    base.add_eq(LinExpr::term(3, k).plus_term(-2, k2).plus_const(-1));
-    base.add_eq(
-        LinExpr::var(l)
-            .plus_term(-1, l2)
-            .plus_term(1, i)
-            .plus_term(-1, j2),
-    );
-
-    let storm = |checkpoint: bool| {
-        let cache = Arc::new(SolverCache::new());
-        let options = SolverOptions {
-            base_checkpoint: checkpoint,
-            ..SolverOptions::default()
-        };
-        let budget = || {
-            Budget::new(omega::DEFAULT_BUDGET)
-                .with_cache(cache.clone())
-                .with_options(options)
-        };
-        let ctx = PairContext::new(base.clone(), &budget());
-        let mut verdicts = 0usize;
-        for d in 0..64i64 {
-            let mut dp = ctx.derive();
-            // Distinct per-delta bounds — every query misses the memo —
-            // in directions the base does not constrain, so the resumed
-            // rows merge with no base row (the shape of distance probes
-            // over a direction the base leaves free).
-            dp.add_geq(LinExpr::var(i).plus_term(1, j).plus_term(-1, k2).plus_const(-d));
-            dp.add_geq(LinExpr::var(l2).plus_term(-1, k).plus_const(d % 5 + 2));
-            if dp.is_satisfiable_with(&mut budget()).unwrap() {
-                verdicts += 1;
-            }
-        }
-        verdicts
-    };
-    b.bench("ablation/checkpoint_vs_scratch/delta_storm_resume", || {
-        storm(true)
-    });
-    b.bench("ablation/checkpoint_vs_scratch/delta_storm_scratch", || {
-        storm(false)
-    });
-
-    // Whole-program cold path: `analyze_program` builds a fresh solver
-    // cache per call, so each iteration is a full cold extended CHOLSKY
-    // analysis with and without base checkpointing.
-    let entry = tiny::corpus::by_name("cholsky").unwrap();
-    let program = tiny::Program::parse(entry.source).unwrap();
-    let info = tiny::analyze(&program).unwrap();
-    let on = Config {
-        threads: 1,
-        ..Config::extended()
-    };
-    let off = Config {
-        threads: 1,
-        base_checkpoint: false,
-        ..Config::extended()
-    };
-    b.bench("ablation/checkpoint_vs_scratch/cholsky_cold_on", || {
-        analyze_program(&info, &on).unwrap()
-    });
-    b.bench("ablation/checkpoint_vs_scratch/cholsky_cold_off", || {
-        analyze_program(&info, &off).unwrap()
-    });
-}
-
 fn main() {
     // Whole-program ablations are slow; mirror the old `sample_size(10)`.
     let mut b = Bench::from_env().default_samples(10);
     bench_ablations(&mut b);
     bench_solver_ablations(&mut b);
     bench_tableau_vs_rows(&mut b);
-    bench_checkpoint_vs_scratch(&mut b);
 }

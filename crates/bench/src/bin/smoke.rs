@@ -22,19 +22,30 @@ static ALLOC: harness::alloc::CountingAlloc = harness::alloc::CountingAlloc::new
 /// interned representation must at least halve it.
 const CHOLSKY_SEED_ALLOCS: u64 = 638_413; // measured on the pre-interning core (PR 4)
 
-/// Absolute ceilings for the same warm run on the dense tableau kernel
-/// (measured 102,742 allocations / ~27.7 ms, release). The wall gate
-/// takes the minimum of three runs to damp scheduler noise.
+/// Absolute allocation ceiling for the same warm run on the dense
+/// tableau kernel (measured 102,742 allocations).
 const CHOLSKY_WARM_ALLOC_CEILING: u64 = 120_000;
-const CHOLSKY_WARM_MS_CEILING: u128 = 30;
 
-/// Absolute ceilings for a *cold* run of the same configuration (fresh
-/// solver cache, every delta query a memo miss). Measured 100,950
-/// allocations / ~30 ms after the base-checkpoint PR; the
-/// pre-checkpoint seed measured 102,744 allocations, so the allocation
-/// gate fails if the miss path regresses past the seed.
+/// Absolute allocation ceiling for a *cold* run of the same
+/// configuration (fresh solver cache, every delta query a memo miss).
+/// Measured 100,265; an earlier miss path measured 102,744, so the gate
+/// fails if the miss path regresses past it.
 const CHOLSKY_COLD_ALLOC_CEILING: u64 = 102_000;
-const CHOLSKY_COLD_MS_CEILING: u128 = 45;
+
+/// Wall-time gates are same-run ratios against a reference path: the
+/// two are timed alternately for `GATE_ROUNDS` rounds and the gate reads
+/// the median of the per-round ratios, so it holds on a slow or noisy
+/// host as well as a quiet one. Each ceiling is the median ratio over
+/// 12 release runs of this binary on a 2-vCPU x86-64 host times the
+/// headroom the absolute ceilings they replace had over their
+/// measurements.
+const GATE_ROUNDS: usize = 5;
+/// Warm: the dense kernel against the interned-row pipeline
+/// (`dense_kernel: false`); median 0.863, headroom 30/27.7 ms.
+const CHOLSKY_WARM_RATIO_CEILING: f64 = 0.93;
+/// Cold: a fresh solver cache against one primed by an earlier run of
+/// the same analysis; median 2.511, headroom 45/30 ms.
+const CHOLSKY_COLD_RATIO_CEILING: f64 = 3.75;
 
 fn main() -> ExitCode {
     let runs = run_corpus(&Config::extended());
@@ -164,34 +175,6 @@ fn main() -> ExitCode {
         println!("smoke: cache transparency ok (cold/warm/no-cache reports identical)");
     }
 
-    // Base-checkpoint gates: the resume machinery must (a) actually fire
-    // on a cold CHOLSKY run — both counters nonzero, or the feature is
-    // silently dead — and (b) be invisible in the report when disabled.
-    let ckpt = &cholsky.analysis.stats.cache;
-    if ckpt.checkpoint_resumes == 0 || ckpt.checkpoint_rebuilds == 0 {
-        eprintln!(
-            "smoke: FAIL: base checkpointing dead on cold CHOLSKY \
-             ({} resumes, {} rebuilds)",
-            ckpt.checkpoint_resumes, ckpt.checkpoint_rebuilds
-        );
-        ok = false;
-    } else {
-        println!(
-            "smoke: checkpoints ok ({} resumes, {} rebuilds on cold CHOLSKY)",
-            ckpt.checkpoint_resumes, ckpt.checkpoint_rebuilds
-        );
-    }
-    let no_ckpt = Config {
-        base_checkpoint: false,
-        ..Config::extended()
-    };
-    if run(&no_ckpt) != sequential {
-        eprintln!("smoke: FAIL: CHOLSKY report changes with base checkpointing off");
-        ok = false;
-    } else {
-        println!("smoke: checkpoint transparency ok (report identical with checkpointing off)");
-    }
-
     // Allocation gate: a warm single-threaded extended CHOLSKY analysis
     // must allocate at most half of what the pre-interning core did.
     // The per-thread counter only sees this thread's traffic, so the
@@ -230,65 +213,70 @@ fn main() -> ExitCode {
         );
     }
 
-    // Warm wall-clock gate for the same configuration: minimum of three
-    // runs, since a wall gate measures the machine as much as the code.
-    let warm_ms = (0..3)
-        .map(|_| {
-            let t = std::time::Instant::now();
-            let _ = analyze_program(&cholsky.info, &single).unwrap();
-            t.elapsed().as_millis()
-        })
-        .min()
-        .unwrap();
-    if warm_ms > CHOLSKY_WARM_MS_CEILING {
+    // Warm wall-time gate: the dense kernel against the row pipeline,
+    // both warm, alternating.
+    let rows_single = Config {
+        dense_kernel: false,
+        ..single.clone()
+    };
+    let _ = analyze_program(&cholsky.info, &rows_single).unwrap();
+    let (warm_ratio, dense_ms, rows_ms) = harness::bench::interleaved_ratio(
+        GATE_ROUNDS,
+        || analyze_program(&cholsky.info, &single).unwrap(),
+        || analyze_program(&cholsky.info, &rows_single).unwrap(),
+    );
+    if warm_ratio > CHOLSKY_WARM_RATIO_CEILING {
         eprintln!(
-            "smoke: FAIL: warm CHOLSKY analysis took {warm_ms} ms \
-             (ceiling {CHOLSKY_WARM_MS_CEILING} ms): the dense-kernel \
-             speedup regressed"
+            "smoke: FAIL: warm CHOLSKY on the dense kernel took {warm_ratio:.3}x \
+             the row pipeline's time ({dense_ms:.1} vs {rows_ms:.1} ms; ceiling \
+             {CHOLSKY_WARM_RATIO_CEILING}): the dense-kernel speedup regressed"
         );
         ok = false;
     } else {
-        println!("smoke: dense-kernel wall time ok ({warm_ms} ms <= {CHOLSKY_WARM_MS_CEILING} ms)");
+        println!(
+            "smoke: dense-kernel wall time ok ({warm_ratio:.3}x the row pipeline, \
+             {dense_ms:.1} vs {rows_ms:.1} ms; ceiling {CHOLSKY_WARM_RATIO_CEILING})"
+        );
     }
 
-    // Cold-path gates for the same single-threaded configuration: a
-    // fresh Config per run keeps every delta query a memo miss, so this
-    // bounds the miss path the base checkpoint optimizes. Allocation
-    // counts are deterministic; the wall gate takes the minimum of
-    // three runs.
-    let cold_single = || Config {
-        threads: 1,
-        ..Config::extended()
-    };
+    // Cold-path gates for the same single-threaded configuration:
+    // `analyze_program` builds a fresh solver cache per run, so every
+    // delta query is a memo miss. Allocation counts are deterministic;
+    // the wall gate compares against a run served by a primed cache.
     let allocs_before = harness::alloc::thread_allocs();
-    let _ = analyze_program(&cholsky.info, &cold_single()).unwrap();
+    let _ = analyze_program(&cholsky.info, &single).unwrap();
     let cold_allocs = harness::alloc::thread_allocs() - allocs_before;
     if cold_allocs > CHOLSKY_COLD_ALLOC_CEILING {
         eprintln!(
             "smoke: FAIL: cold CHOLSKY allocated {cold_allocs} times \
-             (ceiling {CHOLSKY_COLD_ALLOC_CEILING}; pre-checkpoint seed 102,744)"
+             (ceiling {CHOLSKY_COLD_ALLOC_CEILING})"
         );
         ok = false;
     } else {
         println!("smoke: cold allocation ok ({cold_allocs} <= {CHOLSKY_COLD_ALLOC_CEILING})");
     }
-    let cold_ms = (0..3)
-        .map(|_| {
-            let config = cold_single();
-            let t = std::time::Instant::now();
-            let _ = analyze_program(&cholsky.info, &config).unwrap();
-            t.elapsed().as_millis()
-        })
-        .min()
-        .unwrap();
-    if cold_ms > CHOLSKY_COLD_MS_CEILING {
+    let primed = std::sync::Arc::new(omega::SolverCache::new());
+    let primed_run = || {
+        depend::analyze_program_with_cache(&cholsky.info, &single, Some(primed.clone())).unwrap()
+    };
+    let _ = primed_run();
+    let (cold_ratio, cold_ms, primed_ms) = harness::bench::interleaved_ratio(
+        GATE_ROUNDS,
+        || analyze_program(&cholsky.info, &single).unwrap(),
+        primed_run,
+    );
+    if cold_ratio > CHOLSKY_COLD_RATIO_CEILING {
         eprintln!(
-            "smoke: FAIL: cold CHOLSKY analysis took {cold_ms} ms \
-             (ceiling {CHOLSKY_COLD_MS_CEILING} ms): the miss path slowed down"
+            "smoke: FAIL: cold CHOLSKY took {cold_ratio:.3}x the primed-cache \
+             time ({cold_ms:.1} vs {primed_ms:.1} ms; ceiling \
+             {CHOLSKY_COLD_RATIO_CEILING}): the miss path slowed down"
         );
         ok = false;
     } else {
-        println!("smoke: cold wall time ok ({cold_ms} ms <= {CHOLSKY_COLD_MS_CEILING} ms)");
+        println!(
+            "smoke: cold wall time ok ({cold_ratio:.3}x the primed cache, \
+             {cold_ms:.1} vs {primed_ms:.1} ms; ceiling {CHOLSKY_COLD_RATIO_CEILING})"
+        );
     }
 
     // Corpus-scaling gate: the two-level corpus driver must reproduce

@@ -96,8 +96,6 @@ pub fn counter_summary(runs: &[CorpusRun]) -> (omega::CacheStats, depend::Prefil
         cache.inserts += r.analysis.stats.cache.inserts;
         cache.full_canons += r.analysis.stats.cache.full_canons;
         cache.delta_canons += r.analysis.stats.cache.delta_canons;
-        cache.checkpoint_resumes += r.analysis.stats.cache.checkpoint_resumes;
-        cache.checkpoint_rebuilds += r.analysis.stats.cache.checkpoint_rebuilds;
         prefilter.gcd += r.analysis.stats.prefilter.gcd;
         prefilter.range += r.analysis.stats.prefilter.range;
         prefilter.symbolic_range += r.analysis.stats.prefilter.symbolic_range;

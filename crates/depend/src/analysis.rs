@@ -551,7 +551,6 @@ fn analyze_with(
 fn fresh_budget(config: &Config, cache: &Option<Arc<omega::SolverCache>>) -> Budget {
     let b = Budget::new(config.budget).with_options(omega::SolverOptions {
         dense_kernel: config.dense_kernel,
-        base_checkpoint: config.base_checkpoint,
         ..omega::SolverOptions::default()
     });
     match cache {

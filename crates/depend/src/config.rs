@@ -31,12 +31,6 @@ pub struct Config {
     /// way — the switch exists for the `ablation/tableau_vs_rows`
     /// benchmarks.
     pub dense_kernel: bool,
-    /// Resume delta-query memo misses from a checkpointed base tableau
-    /// ([`omega::SolverOptions::base_checkpoint`]) instead of re-solving
-    /// `base ∧ delta` from scratch. Requires [`Config::dense_kernel`];
-    /// reports are byte-identical either way — the switch exists for the
-    /// `ablation/checkpoint_vs_scratch` benchmarks and byte-identity CI.
-    pub base_checkpoint: bool,
     /// Worker threads for the pair-analysis fan-out; `0` means one per
     /// available core, `1` runs the plain sequential loop. In
     /// [`analyze_corpus`](crate::analyze_corpus) this sizes the shared
@@ -73,7 +67,6 @@ impl Default for Config {
             storage_kills: false,
             budget: omega::DEFAULT_BUDGET,
             dense_kernel: true,
-            base_checkpoint: true,
             threads: 1,
             memo_cache: true,
             cache_file: None,

@@ -204,6 +204,36 @@ impl Bench {
     }
 }
 
+/// Runs `a` and `b` alternately, `rounds` times each, and returns the
+/// median over the rounds of `a`'s time over `b`'s, then the median
+/// times of `a` and `b` in milliseconds. Each round's ratio compares two
+/// runs made back to back under the same machine conditions, and the
+/// median drops the rounds where one run hit a stall or a lucky streak,
+/// so the ratio gates a code path against a reference path without
+/// depending on how fast, or how steady, the host is.
+pub fn interleaved_ratio<A, B>(
+    rounds: usize,
+    mut a: impl FnMut() -> A,
+    mut b: impl FnMut() -> B,
+) -> (f64, f64, f64) {
+    let (mut ratios, mut a_ms, mut b_ms) = (Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..rounds {
+        let ta = time_batch(&mut a, 1) as f64 / 1e6;
+        let tb = time_batch(&mut b, 1) as f64 / 1e6;
+        ratios.push(ta / tb);
+        a_ms.push(ta);
+        b_ms.push(tb);
+    }
+    (median(ratios), median(a_ms), median(b_ms))
+}
+
+/// The middle value (the upper one of an even count), like
+/// [`Stats::median_ns`].
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
+
 fn time_batch<R>(f: &mut impl FnMut() -> R, iters: u64) -> u64 {
     let start = Instant::now();
     for _ in 0..iters {

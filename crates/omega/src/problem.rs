@@ -30,15 +30,6 @@ pub struct SolverOptions {
     /// exists for the `ablation/tableau_vs_rows` benchmarks and for
     /// differential testing.
     pub dense_kernel: bool,
-    /// On a delta-query memo miss, resume from the base problem's
-    /// checkpointed tableau (normalize + equality elimination replayed
-    /// onto the delta constraints) instead of re-solving `base ∧ delta`
-    /// from scratch. Observationally invisible: verdicts, projections,
-    /// budget spends, and errors are identical with the switch on or
-    /// off — it exists for the `ablation/checkpoint_vs_scratch`
-    /// benchmarks and for differential testing. Requires
-    /// [`SolverOptions::dense_kernel`].
-    pub base_checkpoint: bool,
 }
 
 impl Default for SolverOptions {
@@ -48,7 +39,6 @@ impl Default for SolverOptions {
             quick_redundancy: true,
             memo_cache: true,
             dense_kernel: true,
-            base_checkpoint: true,
         }
     }
 }

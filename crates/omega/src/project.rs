@@ -180,7 +180,7 @@ const MAX_DEPTH: usize = 64;
 /// [`SolverOptions::dense_kernel`](crate::SolverOptions::dense_kernel);
 /// the post-processing below is shared and the results are identical.
 pub(crate) fn project_prepared(p: Problem, budget: &mut Budget) -> Result<Projection> {
-    let parts = if budget.options().dense_kernel {
+    let (real, mut dark, mut splinters, exact) = if budget.options().dense_kernel {
         crate::tableau::project_parts(&p, budget)?
     } else {
         let real = project_real(p.clone(), budget)?;
@@ -191,29 +191,6 @@ pub(crate) fn project_prepared(p: Problem, budget: &mut Budget) -> Result<Projec
         let dark = dark_chain.expect("projection produces a dark shadow");
         (real, dark, splinters, exact)
     };
-    finish_projection(parts, budget)
-}
-
-/// Projection resumed from a base-tableau checkpoint: the elimination
-/// prefix comes from the recorded snapshot (see
-/// [`Checkpoint`](crate::tableau::Checkpoint)), the post-processing is
-/// shared with [`project_prepared`], so the result is bit-identical to
-/// the from-scratch solve of the same merged problem.
-pub(crate) fn project_resumed(
-    cp: &crate::tableau::Checkpoint,
-    rows: &[crate::tableau::DeltaRow],
-    budget: &mut Budget,
-) -> Result<Projection> {
-    let parts = crate::tableau::resume_project_parts(cp, rows, budget)?;
-    finish_projection(parts, budget)
-}
-
-/// The post-processing shared by every projection path: quick redundancy
-/// removal and pinned-variable demotion on the dark shadow and splinters.
-fn finish_projection(
-    (real, mut dark, mut splinters, exact): (Problem, Problem, Vec<Problem>, bool),
-    budget: &mut Budget,
-) -> Result<Projection> {
     if budget.options().quick_redundancy {
         dark.remove_redundant_quick();
     }

@@ -251,21 +251,6 @@ pub(crate) enum ElimT {
     },
 }
 
-/// Checkpoint-recording state, attached to a [`Tableau`] only while
-/// [`record_checkpoint`] drives the equality-elimination loop. Tracks,
-/// per normalize pass, the direction hashes of every inequality row that
-/// entered bucketing (the interaction guard replayed deltas are checked
-/// against), and, across passes, which canonical input row each
-/// surviving inequality slot descends from (for interleaving delta rows
-/// at their merged positions on restore).
-#[derive(Default)]
-struct RecState {
-    hashes: Vec<u64>,
-    orig: Vec<u32>,
-    orig_next: Vec<u32>,
-    last_rc: Coef,
-}
-
 /// The dense scratch representation of one [`Problem`].
 ///
 /// Columns `0..base_len` correspond to the loaded problem's variable
@@ -289,8 +274,6 @@ pub(crate) struct Tableau {
     /// share the loaded table.
     vars_dirty: bool,
     scratch: Scratch,
-    /// Present only while a base checkpoint is being recorded.
-    rec: Option<Box<RecState>>,
 }
 
 impl Tableau {
@@ -594,9 +577,6 @@ impl Tableau {
         let stride = self.stride;
         let ncols = self.ncols;
         let eq_n_before = self.eqs.n;
-        if let Some(rec) = self.rec.as_deref_mut() {
-            rec.orig_next.clear();
-        }
         let mut w = 0usize;
         for r in 0..self.geqs.n {
             let g = self.geqs.row(stride, r)[..ncols]
@@ -618,13 +598,6 @@ impl Tableau {
             }
 
             let (hash, flipped) = direction_hash(&self.geqs.row(stride, r)[..ncols]);
-            if let Some(rec) = self.rec.as_deref_mut() {
-                // Every row that reaches bucketing contributes to the
-                // interaction guard, including rows later coalesced away:
-                // a delta row sharing a direction with any of them would
-                // change merges or opposed-pair sums.
-                rec.hashes.push(hash);
-            }
             let mut probe = 0u32;
             let bidx = loop {
                 match index.entry((hash, probe)) {
@@ -677,18 +650,11 @@ impl Tableau {
                     self.geqs.copy_row_within(stride, r, w);
                     self.geqs.consts[w] = self.geqs.consts[r];
                     self.geqs.colors[w] = self.geqs.colors[r];
-                    if let Some(rec) = self.rec.as_deref_mut() {
-                        let o = rec.orig[r];
-                        rec.orig_next.push(o);
-                    }
                     w += 1;
                 }
             }
         }
         self.geqs.truncate(stride, w);
-        if let Some(rec) = self.rec.as_deref_mut() {
-            rec.orig = std::mem::take(&mut rec.orig_next);
-        }
         row_dead.resize(w, false);
 
         // Opposed pairs: e + c1 >= 0 and -e + c2 >= 0 require c1 + c2 >= 0.
@@ -717,16 +683,6 @@ impl Tableau {
             }
         }
         self.geqs.compact(stride, row_dead);
-        if let Some(rec) = self.rec.as_deref_mut() {
-            let mut w2 = 0usize;
-            for i in 0..rec.orig.len() {
-                if !row_dead[i] {
-                    rec.orig[w2] = rec.orig[i];
-                    w2 += 1;
-                }
-            }
-            rec.orig.truncate(w2);
-        }
         if self.eqs.n > eq_n_before {
             // Newly created equalities need their own normalization.
             if self.normalize_eqs()? == Outcome::Infeasible {
@@ -855,9 +811,6 @@ impl Tableau {
             rc = -rc;
         }
         self.eqs.swap_remove(stride, eq_idx);
-        if let Some(rec) = self.rec.as_deref_mut() {
-            rec.last_rc = rc;
-        }
         let r = self.substitute_col(pivot, &repl, rc, color);
         self.scratch.row = repl;
         r
@@ -929,9 +882,6 @@ impl Tableau {
             rc = -rc;
         }
         let color = self.eqs.colors[eq_idx];
-        if let Some(rec) = self.rec.as_deref_mut() {
-            rec.last_rc = rc;
-        }
         let r = self.substitute_col(k, &repl, rc, color);
         self.scratch.row = repl;
         r
@@ -1200,648 +1150,6 @@ enum Action {
     Pin(usize),
 }
 
-// ---- base checkpoints -----------------------------------------------------
-
-/// What one equality-elimination pass did to the tableau, as far as a
-/// delta row is concerned. `Step` is a substitution (unit-pivot or mod̂):
-/// delta rows mentioning the pivot take the same axpy the base rows took
-/// (the replacement row lives in the checkpoint's flat `trail_repls`
-/// arena). `Noop` covers Pin actions, the mod̂-cap fallback, and the
-/// terminal pass — flag-only effects that never touch row content.
-#[derive(Debug, Clone, Copy)]
-enum TrailAction {
-    Step {
-        pivot: usize,
-        repl_start: usize,
-        repl_end: usize,
-        rc: Coef,
-    },
-    Noop,
-}
-
-/// One pass of the recorded equality-elimination loop: the column count
-/// the pass's normalize ran at, the sorted direction hashes of every
-/// base inequality that entered bucketing (the interaction guard, a
-/// range into the checkpoint's flat `trail_hashes`), the action taken,
-/// and its budget spend.
-#[derive(Debug, Clone, Copy)]
-struct TrailPass {
-    ncols: usize,
-    hash_start: usize,
-    hash_end: usize,
-    action: TrailAction,
-    spend: usize,
-}
-
-/// The recorded trail under construction: per-pass records plus the two
-/// flat arenas they index, so a checkpoint costs three allocations for
-/// its whole trail instead of two per pass.
-#[derive(Debug, Default)]
-struct TrailBuf {
-    passes: Vec<TrailPass>,
-    hashes: Vec<u64>,
-    repls: Vec<Coef>,
-}
-
-/// A solved-to-the-resume-point snapshot of a delta-eligible base
-/// problem: the tableau state after `eliminate_equalities` returned
-/// `Consistent`, plus the per-pass trail needed to map a delta's
-/// constraints into the reduced variable space. Shared read-only across
-/// threads; loading it into a pooled [`Tableau`] and replaying a delta
-/// against the trail reproduces, bit for bit, the state the from-scratch
-/// solve of `base ∧ delta` reaches after its equality-elimination
-/// prefix — or reports `None`, in which case the caller falls back to
-/// the from-scratch path.
-#[derive(Debug)]
-pub(crate) struct Checkpoint {
-    resumable: bool,
-    trail: Vec<TrailPass>,
-    /// Flat arena of the per-pass sorted direction-hash sets.
-    trail_hashes: Vec<u64>,
-    /// Flat arena of the per-pass substitution replacement rows.
-    trail_repls: Vec<Coef>,
-    ncols: usize,
-    base_len: usize,
-    materialized: usize,
-    flags: Vec<u8>,
-    vars_dirty: bool,
-    base_vars: Arc<Vec<VarInfo>>,
-    /// Number of equality rows in the snapshot; the first `eq_n` entries
-    /// of `consts`/`colors` (and rows of `coeffs`) are equalities, the
-    /// rest inequalities.
-    eq_n: usize,
-    /// Dense `ncols`-wide rows, equalities first then inequalities.
-    coeffs: Vec<Coef>,
-    consts: Vec<Coef>,
-    colors: Vec<Color>,
-    /// For each surviving inequality row, the index of the canonical
-    /// input row it descends from (first-encounter representative),
-    /// used to interleave delta rows at their merged positions.
-    geq_orig: Vec<u32>,
-}
-
-/// A delta inequality transformed through the recorded base trail,
-/// ready to be interleaved into the restored tableau: `p` is its
-/// insertion rank in the merged canonical inequality list (delta rows
-/// stay in delta order among themselves), and the dense row is in the
-/// checkpoint's reduced variable space.
-#[derive(Debug)]
-pub(crate) struct DeltaRow {
-    p: u32,
-    coeffs: Vec<Coef>,
-    cst: Coef,
-}
-
-/// Reusable buffers for checkpoint recording and delta replay, parked
-/// per thread like the tableau pool: a warm replay draws its row storage
-/// and per-pass marks from here instead of the allocator.
-#[derive(Default)]
-struct ReplayScratch {
-    dead: Vec<bool>,
-    dirs: Vec<(u64, bool)>,
-    /// Empty row vector (retaining capacity) handed to the next replay.
-    rows: Vec<DeltaRow>,
-    /// Recycled coefficient rows for [`DeltaRow`]s.
-    spare: Vec<Vec<Coef>>,
-    /// Recording state reused across `record_checkpoint` calls.
-    rec: Option<Box<RecState>>,
-}
-
-/// How many coefficient rows a thread's replay scratch parks.
-const REPLAY_SPARE_CAP: usize = 32;
-
-thread_local! {
-    static REPLAY: RefCell<ReplayScratch> = RefCell::new(ReplayScratch::default());
-}
-
-/// Returns a replay's delta rows to the thread's scratch so the next
-/// replay (on any checkpoint) reuses their storage.
-pub(crate) fn recycle_rows(mut rows: Vec<DeltaRow>) {
-    REPLAY.with(|s| {
-        let s = &mut *s.borrow_mut();
-        for r in rows.drain(..) {
-            if s.spare.len() < REPLAY_SPARE_CAP {
-                s.spare.push(r.coeffs);
-            }
-        }
-        if rows.capacity() > s.rows.capacity() {
-            s.rows = rows;
-        }
-    });
-}
-
-impl Tableau {
-    /// Duplicate of [`Tableau::eliminate_equalities`] that records one
-    /// [`TrailPass`] per loop pass. Runs with an effectively unlimited
-    /// budget (recording happens outside any query's budget); any error
-    /// or infeasible outcome makes the checkpoint non-resumable.
-    fn record_eliminate(&mut self, budget: &mut Budget, trail: &mut TrailBuf) -> Result<Outcome> {
-        let mut modhat_steps = 0usize;
-        loop {
-            let pass_ncols = self.ncols;
-            self.rec.as_deref_mut().expect("recording state").hashes.clear();
-            if self.normalize()? == Outcome::Infeasible {
-                return Ok(Outcome::Infeasible);
-            }
-            let hash_start = trail.hashes.len();
-            {
-                let rec = self.rec.as_deref_mut().expect("recording state");
-                rec.hashes.sort_unstable();
-                rec.hashes.dedup();
-                trail.hashes.extend_from_slice(&rec.hashes);
-            }
-            let hash_end = trail.hashes.len();
-            let step = |trail: &mut TrailBuf, scratch_row: &[Coef], rc: Coef, pivot: usize| {
-                let repl_start = trail.repls.len();
-                trail.repls.extend_from_slice(scratch_row);
-                TrailAction::Step {
-                    pivot,
-                    repl_start,
-                    repl_end: trail.repls.len(),
-                    rc,
-                }
-            };
-            match self.pick_equality_action() {
-                None => {
-                    trail.passes.push(TrailPass {
-                        ncols: pass_ncols,
-                        hash_start,
-                        hash_end,
-                        action: TrailAction::Noop,
-                        spend: 0,
-                    });
-                    return Ok(Outcome::Consistent);
-                }
-                Some(Action::Substitute(eq_idx, pivot)) => {
-                    budget.spend(1)?;
-                    self.substitute_step(eq_idx, pivot)?;
-                    let rc = self.rec.as_deref().expect("recording state").last_rc;
-                    let action = step(trail, &self.scratch.row, rc, pivot);
-                    trail.passes.push(TrailPass {
-                        ncols: pass_ncols,
-                        hash_start,
-                        hash_end,
-                        action,
-                        spend: 1,
-                    });
-                }
-                Some(Action::ModHat(eq_idx, pivot)) => {
-                    budget.spend(1)?;
-                    modhat_steps += 1;
-                    if modhat_steps > MODHAT_CAP {
-                        self.pin_remaining_equality_vars();
-                        trail.passes.push(TrailPass {
-                            ncols: pass_ncols,
-                            hash_start,
-                            hash_end,
-                            action: TrailAction::Noop,
-                            spend: 1,
-                        });
-                        return Ok(Outcome::Consistent);
-                    }
-                    self.mod_hat_step(eq_idx, pivot)?;
-                    let rc = self.rec.as_deref().expect("recording state").last_rc;
-                    let action = step(trail, &self.scratch.row, rc, pivot);
-                    trail.passes.push(TrailPass {
-                        ncols: pass_ncols,
-                        hash_start,
-                        hash_end,
-                        action,
-                        spend: 1,
-                    });
-                }
-                Some(Action::Pin(eq_idx)) => {
-                    let stride = self.stride;
-                    for j in 0..self.ncols {
-                        if self.eqs.coeffs[eq_idx * stride + j] != 0
-                            && !self.is_protected(j)
-                            && !self.is_dead(j)
-                        {
-                            self.mark_pinned(j);
-                        }
-                    }
-                    trail.passes.push(TrailPass {
-                        ncols: pass_ncols,
-                        hash_start,
-                        hash_end,
-                        action: TrailAction::Noop,
-                        spend: 0,
-                    });
-                }
-            }
-        }
-    }
-}
-
-/// Solves `base` up to the equality-elimination resume point and records
-/// the checkpoint. `base` must be the canonical base of a `PairContext`
-/// (for projection checkpoints, with the keep-set's protected flags
-/// already applied). A base whose elimination is infeasible, overflows,
-/// or mentions columns beyond its variable table yields a non-resumable
-/// checkpoint — every query then takes the from-scratch path.
-pub(crate) fn record_checkpoint(base: &Problem) -> Checkpoint {
-    let unresumable = || Checkpoint {
-        resumable: false,
-        trail: Vec::new(),
-        ncols: 0,
-        base_len: 0,
-        materialized: 0,
-        flags: Vec::new(),
-        vars_dirty: false,
-        base_vars: Arc::new(Vec::new()),
-        trail_hashes: Vec::new(),
-        trail_repls: Vec::new(),
-        eq_n: 0,
-        coeffs: Vec::new(),
-        consts: Vec::new(),
-        colors: Vec::new(),
-        geq_orig: Vec::new(),
-    };
-    let mut t = acquire();
-    t.load(base);
-    if t.ncols != t.base_len {
-        // Phantom columns (rows wider than the table) complicate rank
-        // tracking; such bases never arise from pair contexts.
-        release(t);
-        return unresumable();
-    }
-    let mut rec = REPLAY
-        .with(|s| s.borrow_mut().rec.take())
-        .unwrap_or_default();
-    rec.hashes.clear();
-    rec.orig.clear();
-    rec.orig.extend(0..t.geqs.n as u32);
-    rec.orig_next.clear();
-    rec.last_rc = 0;
-    t.rec = Some(rec);
-    let mut trail = TrailBuf::default();
-    // Recording is charged to a throwaway budget: it is shared setup work
-    // done once per base, outside any query's accounting.
-    let mut budget = Budget::new(usize::MAX);
-    let outcome = t.record_eliminate(&mut budget, &mut trail);
-    let cp = match outcome {
-        Ok(Outcome::Consistent) => {
-            let rec = t.rec.as_deref().expect("recording state");
-            let ncols = t.ncols;
-            let mut coeffs = Vec::with_capacity((t.eqs.n + t.geqs.n) * ncols);
-            let mut consts = Vec::with_capacity(t.eqs.n + t.geqs.n);
-            let mut colors = Vec::with_capacity(t.eqs.n + t.geqs.n);
-            for sec in [&t.eqs, &t.geqs] {
-                for i in 0..sec.n {
-                    coeffs.extend_from_slice(&sec.row(t.stride, i)[..ncols]);
-                }
-                consts.extend_from_slice(&sec.consts);
-                colors.extend_from_slice(&sec.colors);
-            }
-            debug_assert_eq!(rec.orig.len(), t.geqs.n);
-            Checkpoint {
-                resumable: true,
-                trail: trail.passes,
-                trail_hashes: trail.hashes,
-                trail_repls: trail.repls,
-                ncols,
-                base_len: t.base_len,
-                materialized: t.materialized,
-                flags: t.flags.clone(),
-                vars_dirty: t.vars_dirty,
-                base_vars: Arc::clone(&t.base_vars),
-                eq_n: t.eqs.n,
-                coeffs,
-                consts,
-                colors,
-                geq_orig: rec.orig.clone(),
-            }
-        }
-        _ => unresumable(),
-    };
-    if let Some(rec) = t.rec.take() {
-        REPLAY.with(|s| s.borrow_mut().rec = Some(rec));
-    }
-    release(t);
-    cp
-}
-
-impl Checkpoint {
-    /// Pure phase of a resume: maps the canonical delta constraints
-    /// through the recorded trail. Returns the transformed delta rows
-    /// with their merged insertion ranks, or `None` whenever exact step
-    /// parity with the from-scratch solve of `base ∧ delta` is not
-    /// guaranteed — the caller must then rebuild via the from-scratch
-    /// path (which is definitionally correct, including for deltas that
-    /// make the problem infeasible or overflow mid-elimination).
-    ///
-    /// Mutates nothing: no tableau is touched and no budget is charged,
-    /// so a `None` costs only the replay attempt itself.
-    pub(crate) fn replay_delta(
-        &self,
-        base: &Problem,
-        delta_vars: usize,
-        deqs: &[Constraint],
-        dgeqs: &[Constraint],
-    ) -> Option<Vec<DeltaRow>> {
-        use std::cmp::Ordering;
-        if !self.resumable || delta_vars != 0 {
-            return None;
-        }
-        // Delta equalities must vanish in the merge (each a duplicate of
-        // a base equality): any new equality changes which eliminations
-        // the merged solve picks.
-        {
-            let mut b = 0usize;
-            for d in deqs {
-                while b < base.eqs.len()
-                    && crate::canon::cmp_constraints(&base.eqs[b], d) == Ordering::Less
-                {
-                    b += 1;
-                }
-                if b >= base.eqs.len()
-                    || crate::canon::cmp_constraints(&base.eqs[b], d) != Ordering::Equal
-                {
-                    return None;
-                }
-            }
-        }
-        REPLAY.with(|cell| {
-            let s = &mut *cell.borrow_mut();
-            let mut rows = std::mem::take(&mut s.rows);
-            debug_assert!(rows.is_empty());
-            if self.replay_rows(base, dgeqs, &mut rows, &mut s.dead, &mut s.dirs, &mut s.spare) {
-                Some(rows)
-            } else {
-                for r in rows.drain(..) {
-                    if s.spare.len() < REPLAY_SPARE_CAP {
-                        s.spare.push(r.coeffs);
-                    }
-                }
-                s.rows = rows;
-                None
-            }
-        })
-    }
-
-    /// The body of [`Checkpoint::replay_delta`] working on the thread's
-    /// scratch buffers; `false` means "rebuild from scratch".
-    fn replay_rows(
-        &self,
-        base: &Problem,
-        dgeqs: &[Constraint],
-        rows: &mut Vec<DeltaRow>,
-        dead: &mut Vec<bool>,
-        dirs: &mut Vec<(u64, bool)>,
-        spare: &mut Vec<Vec<Coef>>,
-    ) -> bool {
-        use std::cmp::Ordering;
-        // Dense delta rows plus their merged insertion ranks. Delta rows
-        // comparing equal to a base row are dropped, exactly as
-        // `merge_sorted` deduplicates them.
-        let mut b = 0usize;
-        for d in dgeqs {
-            while b < base.geqs.len()
-                && crate::canon::cmp_constraints(&base.geqs[b], d) == Ordering::Less
-            {
-                b += 1;
-            }
-            if b < base.geqs.len()
-                && crate::canon::cmp_constraints(&base.geqs[b], d) == Ordering::Equal
-            {
-                continue;
-            }
-            let e = d.expr();
-            if e.coeffs().len() > self.base_len {
-                return false;
-            }
-            let mut coeffs = spare.pop().unwrap_or_default();
-            coeffs.clear();
-            coeffs.resize(self.ncols, 0);
-            coeffs[..e.coeffs().len()].copy_from_slice(e.coeffs());
-            rows.push(DeltaRow {
-                p: b as u32,
-                coeffs,
-                cst: e.constant(),
-            });
-        }
-        // Replay the trail. Each pass mirrors what the merged solve's
-        // normalize + action would do to these rows, with guards wherever
-        // a delta row could interact with base rows (and thereby change
-        // the recorded base steps).
-        for pass in &self.trail {
-            let nc = pass.ncols;
-            let hashes = &self.trail_hashes[pass.hash_start..pass.hash_end];
-            dead.clear();
-            dead.resize(rows.len(), false);
-            dirs.clear();
-            dirs.resize(rows.len(), (0, false));
-            for i in 0..rows.len() {
-                // GCD-tighten over the pass's column window.
-                let g = rows[i].coeffs[..nc].iter().fold(0, |g, &c| int::gcd(g, c));
-                if g == 0 {
-                    if rows[i].cst < 0 {
-                        // Immediate contradiction: the merged solve stops
-                        // inside normalize. Rebuild to reproduce its
-                        // truncation state and spend point exactly.
-                        return false;
-                    }
-                    dead[i] = true;
-                    continue;
-                }
-                if g > 1 {
-                    rows[i].cst = int::floor_div(rows[i].cst, g);
-                    for c in &mut rows[i].coeffs[..nc] {
-                        *c /= g;
-                    }
-                }
-                let (hash, flipped) = direction_hash(&rows[i].coeffs[..nc]);
-                if hashes.binary_search(&hash).is_ok() {
-                    // Shares a direction hash with a base row this pass:
-                    // the merged solve could merge constants, coalesce an
-                    // opposed pair, or reorder a probe chain.
-                    return false;
-                }
-                dirs[i] = (hash, flipped);
-                // Delta-local bucketing: the first live row with the same
-                // direction and orientation is the slot (first-encounter,
-                // like the real normalize); keep the tighter constant
-                // there (colors are all black here). Opposed orientations
-                // are checked pairwise below.
-                for j in 0..i {
-                    if dead[j]
-                        || dirs[j] != (hash, flipped)
-                        || !same_direction(&rows[i].coeffs[..nc], &rows[j].coeffs[..nc], false)
-                    {
-                        continue;
-                    }
-                    if rows[i].cst < rows[j].cst {
-                        rows[j].cst = rows[i].cst;
-                    }
-                    dead[i] = true;
-                    break;
-                }
-            }
-            // Opposed pairs among surviving delta rows: a negative sum is
-            // a contradiction, a zero sum coalesces into a new equality —
-            // both change the recorded base steps, so rebuild.
-            for i in 0..rows.len() {
-                if dead[i] {
-                    continue;
-                }
-                for j in i + 1..rows.len() {
-                    if dead[j] || dirs[i].0 != dirs[j].0 || dirs[i].1 == dirs[j].1 {
-                        continue;
-                    }
-                    if !same_direction(&rows[j].coeffs[..nc], &rows[i].coeffs[..nc], true) {
-                        continue;
-                    }
-                    let sum = rows[i].cst as i128 + rows[j].cst as i128;
-                    if sum <= 0 {
-                        return false;
-                    }
-                }
-            }
-            let mut keep = 0usize;
-            for i in 0..rows.len() {
-                if !dead[i] {
-                    rows.swap(keep, i);
-                    keep += 1;
-                }
-            }
-            for r in rows.drain(keep..) {
-                if spare.len() < REPLAY_SPARE_CAP {
-                    spare.push(r.coeffs);
-                }
-            }
-            // Apply the pass's substitution to rows mentioning the pivot.
-            if let TrailAction::Step {
-                pivot,
-                repl_start,
-                repl_end,
-                rc,
-            } = pass.action
-            {
-                let repl = &self.trail_repls[repl_start..repl_end];
-                for row in rows.iter_mut() {
-                    let c = row.coeffs[pivot];
-                    if c == 0 {
-                        continue;
-                    }
-                    row.coeffs[pivot] = 0;
-                    for (j, &rj) in repl.iter().enumerate() {
-                        if rj != 0 {
-                            let Ok(v) = int::mul_add(c, rj, row.coeffs[j]) else {
-                                return false;
-                            };
-                            row.coeffs[j] = v;
-                        }
-                    }
-                    let Ok(v) = int::mul_add(c, rc, row.cst) else {
-                        return false;
-                    };
-                    row.cst = v;
-                }
-            }
-        }
-        true
-    }
-
-    /// Restores the snapshot into `t` with the transformed delta rows
-    /// interleaved at their merged positions: a delta row with insertion
-    /// rank `p` precedes every base survivor descending from canonical
-    /// input row `p` or later.
-    fn restore_into(&self, t: &mut Tableau, rows: &[DeltaRow]) {
-        debug_assert!(self.resumable);
-        t.ncols = self.ncols;
-        t.stride = self.ncols + HEADROOM;
-        t.base_len = self.base_len;
-        t.materialized = self.materialized;
-        t.base_vars = Arc::clone(&self.base_vars);
-        t.flags.clear();
-        t.flags.extend_from_slice(&self.flags);
-        t.known_infeasible = false;
-        t.vars_dirty = self.vars_dirty;
-        t.eqs.clear();
-        for i in 0..self.eq_n {
-            t.eqs.push_row(
-                t.stride,
-                &self.coeffs[i * self.ncols..(i + 1) * self.ncols],
-                self.consts[i],
-                self.colors[i],
-            );
-        }
-        t.geqs.clear();
-        let nb = self.consts.len() - self.eq_n;
-        let (mut bi, mut di) = (0usize, 0usize);
-        while bi < nb || di < rows.len() {
-            let take_delta = di < rows.len()
-                && (bi >= nb || rows[di].p <= self.geq_orig[bi]);
-            if take_delta {
-                let r = &rows[di];
-                t.geqs
-                    .push_row(t.stride, &r.coeffs[..self.ncols], r.cst, Color::Black);
-                di += 1;
-            } else {
-                let i = self.eq_n + bi;
-                t.geqs.push_row(
-                    t.stride,
-                    &self.coeffs[i * self.ncols..(i + 1) * self.ncols],
-                    self.consts[i],
-                    self.colors[i],
-                );
-                bi += 1;
-            }
-        }
-    }
-
-    /// Charges the recorded per-pass spends in order, reproducing the
-    /// from-scratch elimination's budget trajectory (including the exact
-    /// exhaustion point).
-    fn charge_trail(&self, budget: &mut Budget) -> Result<()> {
-        for pass in &self.trail {
-            if pass.spend > 0 {
-                budget.spend(pass.spend)?;
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Satisfiability resumed from a base checkpoint: charges exactly what
-/// the from-scratch `sat` entry plus the recorded elimination passes
-/// would have charged, restores the snapshot with the delta rows
-/// interleaved, and continues the solve loop.
-pub(crate) fn resume_sat(cp: &Checkpoint, rows: &[DeltaRow], budget: &mut Budget) -> Result<bool> {
-    budget.spend(1)?;
-    cp.charge_trail(budget)?;
-    let mut t = acquire();
-    cp.restore_into(&mut t, rows);
-    let r = sat_loop(&mut t, budget, 0);
-    release(t);
-    r
-}
-
-/// Projection resumed from a base checkpoint, mirroring `project_parts`:
-/// the real-shadow pass first (no entry spend), then the core pass (entry
-/// spend plus its own replay of the elimination charges, exactly like
-/// the from-scratch solve re-eliminates on its second tableau).
-pub(crate) fn resume_project_parts(
-    cp: &Checkpoint,
-    rows: &[DeltaRow],
-    budget: &mut Budget,
-) -> Result<(Problem, Problem, Vec<Problem>, bool)> {
-    cp.charge_trail(budget)?;
-    let mut rt = acquire();
-    cp.restore_into(&mut rt, rows);
-    let real = project_real_t(rt, budget)?;
-    budget.spend(1)?;
-    cp.charge_trail(budget)?;
-    let mut t = acquire();
-    cp.restore_into(&mut t, rows);
-    let mut dark_out = None;
-    let mut splinters = Vec::new();
-    let mut exact = true;
-    project_core_loop(t, budget, &mut dark_out, &mut splinters, &mut exact, 0)?;
-    let dark = dark_out.expect("projection produces a dark shadow");
-    Ok((real, dark, splinters, exact))
-}
-
 // ---- drivers -------------------------------------------------------------
 
 /// Dense mirror of `sat::sat_rec`.
@@ -1850,12 +1158,6 @@ fn sat_t(t: &mut Tableau, budget: &mut Budget, depth: usize) -> Result<bool> {
     if depth > MAX_DEPTH {
         return Err(crate::Error::TooComplex { budget: MAX_DEPTH });
     }
-    sat_loop(t, budget, depth)
-}
-
-/// The body of [`sat_t`] after its entry spend and depth check — the
-/// resume point for checkpointed bases.
-fn sat_loop(t: &mut Tableau, budget: &mut Budget, depth: usize) -> Result<bool> {
     loop {
         if t.eliminate_equalities(budget)? == Outcome::Infeasible {
             return Ok(false);
@@ -1955,7 +1257,7 @@ fn project_real_t(mut t: Tableau, budget: &mut Budget) -> Result<Problem> {
 
 /// Dense mirror of `project::project_core`.
 fn project_core_t(
-    t: Tableau,
+    mut t: Tableau,
     budget: &mut Budget,
     dark_out: &mut Option<Problem>,
     splinters_out: &mut Vec<Problem>,
@@ -1966,19 +1268,6 @@ fn project_core_t(
     if depth > MAX_DEPTH {
         return Err(crate::Error::TooComplex { budget: MAX_DEPTH });
     }
-    project_core_loop(t, budget, dark_out, splinters_out, exact, depth)
-}
-
-/// The body of [`project_core_t`] after its entry spend and depth check —
-/// the resume point for checkpointed bases.
-fn project_core_loop(
-    mut t: Tableau,
-    budget: &mut Budget,
-    dark_out: &mut Option<Problem>,
-    splinters_out: &mut Vec<Problem>,
-    exact: &mut bool,
-    depth: usize,
-) -> Result<()> {
     loop {
         if t.eliminate_equalities(budget)? == Outcome::Infeasible {
             if dark_out.is_none() {

@@ -23,31 +23,17 @@ HARNESS_BENCH_QUICK=1 cargo bench --offline -p bench --bench warm_cache >/dev/nu
 echo "==> cache/prefilter/determinism smoke (includes the corpus-scaling gate)"
 cargo run -q --release --offline -p bench --bin smoke
 
-echo "==> CLI corpus mode byte-identity (1 vs 8 threads)"
+echo "==> CLI corpus mode byte-identity (1 vs 8 threads, cache on vs off)"
 # The whole built-in corpus through tinydep --corpus on the two-level
-# pool must print byte-identical reports at every thread count.
+# pool must print byte-identical reports at every thread count, with and
+# without the memo cache.
 corpus_t1=$(cargo run -q --release --offline --bin tinydep -- --corpus --threads=1)
 corpus_t8=$(cargo run -q --release --offline --bin tinydep -- --corpus --threads=8)
 if [ "$corpus_t1" != "$corpus_t8" ]; then
     echo "ci.sh: FAIL: tinydep --corpus output differs between 1 and 8 threads" >&2
     exit 1
 fi
-
-echo "==> CLI checkpoint byte-identity (base checkpointing on vs off)"
-# Resuming checkpointed base tableaus is a pure performance feature:
-# the whole-corpus report must not change by a byte when it is off,
-# with and without the memo cache.
-corpus_nockpt=$(cargo run -q --release --offline --bin tinydep -- --corpus --threads=8 --no-base-checkpoint)
-if [ "$corpus_t8" != "$corpus_nockpt" ]; then
-    echo "ci.sh: FAIL: tinydep --corpus output differs with --no-base-checkpoint" >&2
-    exit 1
-fi
 corpus_nocache=$(cargo run -q --release --offline --bin tinydep -- --corpus --threads=8 --no-cache)
-corpus_nocache_nockpt=$(cargo run -q --release --offline --bin tinydep -- --corpus --threads=8 --no-cache --no-base-checkpoint)
-if [ "$corpus_nocache" != "$corpus_nocache_nockpt" ]; then
-    echo "ci.sh: FAIL: --no-base-checkpoint changes the report under --no-cache" >&2
-    exit 1
-fi
 if [ "$corpus_t8" != "$corpus_nocache" ]; then
     echo "ci.sh: FAIL: tinydep --corpus output differs with --no-cache" >&2
     exit 1

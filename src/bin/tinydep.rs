@@ -1,61 +1,8 @@
 //! `tinydep` — command-line dependence analyzer, in the spirit of the
 //! augmented `tiny` tool the paper distributes.
 //!
-//! ```text
-//! USAGE: tinydep [OPTIONS] <FILE... | corpus:NAME... | - | --corpus>
-//!
-//! OPTIONS:
-//!   --standard      standard analysis only (no kills/covers/refinement)
-//!   --fortran       parse the input as fixed-form FORTRAN (also inferred
-//!                   from a .f/.f77/.for extension)
-//!   --all           also print anti and output dependences
-//!   --parallel      report loop parallelism and privatization
-//!   --parallelize   run the parallelization decision engine: print the
-//!                   source annotated with a `!$` verdict per loop
-//!                   (PARALLELIZABLE / privatization / blocking
-//!                   dependences), the DOT graph of surviving
-//!                   dependences, and a kills-on/off summary whose
-//!                   headline is the loops parallelizable only once
-//!                   false dependences are killed. In corpus mode, a
-//!                   `== corpus parallelize summary ==` table follows
-//!                   the per-program sections
-//!   --storage-kills also run kill analysis on output dependences
-//!   --dot           emit the dependence graph in Graphviz DOT format
-//!   --json          emit all dependences as JSON
-//!   --signs         print partially compressed direction-vector sets
-//!                   (the paper's §2.1.1) for each live flow dependence
-//!   --threads=N     analyze on N worker threads (0 = one per core;
-//!                   the output is identical at every setting). With
-//!                   one input the pairs of that program fan out; with
-//!                   several inputs (or --corpus) whole programs and
-//!                   their pair batches share one two-level work pool,
-//!                   so a lone heavy program still fills every worker
-//!   --corpus        analyze every built-in corpus program in one run;
-//!                   reports print as `== NAME ==` sections in corpus
-//!                   order (text format only). Several FILE /
-//!                   corpus:NAME inputs behave the same way
-//!   --no-cache      disable the canonical-problem memo cache
-//!   --no-base-checkpoint
-//!                   solve every delta-query memo miss from scratch
-//!                   instead of resuming the pair's checkpointed base
-//!                   tableau; the report is byte-identical either way
-//!   --cache-file=PATH
-//!                   persist the memo cache: load it from PATH before the
-//!                   analysis (ignored when missing/corrupt/stale) and
-//!                   save it back after, so re-analyzing the same program
-//!                   is served from cache. The report is byte-identical
-//!                   either way.
-//!   --stats         print solver-cache, row-store and pre-filter
-//!                   counters to stderr after the analysis
-//!   --serve         run as a long-lived analysis server on
-//!                   stdin/stdout: line-delimited JSON requests in,
-//!                   one JSON response per line out, with the solver
-//!                   cache and row store kept warm across requests
-//!                   (see the `server` module docs for the protocol)
-//!   --serve=PATH    the same server on a Unix domain socket at PATH,
-//!                   accepting concurrent clients
-//!   --list-corpus   list built-in corpus programs and exit
-//! ```
+//! The options are listed in `USAGE` below, which `tinydep --help`
+//! prints.
 //!
 //! Examples:
 //!
@@ -80,6 +27,60 @@ use omega_repro::server::{render_text_report, ReportView, Server};
 #[global_allocator]
 static ALLOC: harness::alloc::CountingAlloc = harness::alloc::CountingAlloc::new();
 
+/// The `--help` text: every option `parse_args` accepts.
+const USAGE: &str = "\
+USAGE: tinydep [OPTIONS] <FILE... | corpus:NAME... | - | --corpus>
+
+OPTIONS:
+  --standard      standard analysis only (no kills/covers/refinement)
+  --fortran       parse the input as fixed-form FORTRAN (also inferred
+                  from a .f/.f77/.for extension)
+  --all           also print anti and output dependences
+  --parallel      report loop parallelism and privatization
+  --parallelize   run the parallelization decision engine: print the
+                  source annotated with a `!$` verdict per loop
+                  (PARALLELIZABLE / privatization / blocking
+                  dependences), the DOT graph of surviving
+                  dependences, and a kills-on/off summary whose
+                  headline is the loops parallelizable only once
+                  false dependences are killed. In corpus mode, a
+                  `== corpus parallelize summary ==` table follows
+                  the per-program sections
+  --storage-kills also run kill analysis on output dependences
+  --dot           emit the dependence graph in Graphviz DOT format
+  --json          emit all dependences as JSON
+  --signs         print partially compressed direction-vector sets
+                  (the paper's §2.1.1) for each live flow dependence
+  --threads=N     analyze on N worker threads (0 = one per core;
+                  the output is identical at every setting). With
+                  one input the pairs of that program fan out; with
+                  several inputs (or --corpus) whole programs and
+                  their pair batches share one two-level work pool,
+                  so a lone heavy program still fills every worker
+  --corpus        analyze every built-in corpus program in one run;
+                  reports print as `== NAME ==` sections in corpus
+                  order (text format only). Several FILE /
+                  corpus:NAME inputs behave the same way
+  --no-cache      disable the canonical-problem memo cache
+  --cache-file=PATH
+                  persist the memo cache: load it from PATH before the
+                  analysis (ignored when missing/corrupt/stale) and
+                  save it back after, so re-analyzing the same program
+                  is served from cache. The report is byte-identical
+                  either way.
+  --stats         print solver-cache, row-store and pre-filter
+                  counters to stderr after the analysis
+  --serve         run as a long-lived analysis server on
+                  stdin/stdout: line-delimited JSON requests in,
+                  one JSON response per line out, with the solver
+                  cache and row store kept warm across requests
+                  (see the `server` module docs for the protocol)
+  --serve=PATH    the same server on a Unix domain socket at PATH,
+                  accepting concurrent clients
+  --list-corpus   list built-in corpus programs and exit
+  -h, --help      print this text and exit
+";
+
 /// How `--serve` was requested: over stdio or a Unix domain socket.
 enum ServeMode {
     Stdio,
@@ -98,7 +99,6 @@ struct Options {
     signs: bool,
     threads: usize,
     no_cache: bool,
-    no_base_checkpoint: bool,
     cache_file: Option<std::path::PathBuf>,
     stats: bool,
     serve: Option<ServeMode>,
@@ -119,7 +119,6 @@ fn parse_args() -> Result<Options, String> {
         signs: false,
         threads: 1,
         no_cache: false,
-        no_base_checkpoint: false,
         cache_file: None,
         stats: false,
         serve: None,
@@ -138,7 +137,6 @@ fn parse_args() -> Result<Options, String> {
             "--signs" => opts.signs = true,
             "--json" => opts.json = true,
             "--no-cache" => opts.no_cache = true,
-            "--no-base-checkpoint" => opts.no_base_checkpoint = true,
             "--stats" => opts.stats = true,
             "--serve" => opts.serve = Some(ServeMode::Stdio),
             "--corpus" => opts.corpus_all = true,
@@ -149,7 +147,7 @@ fn parse_args() -> Result<Options, String> {
                 std::process::exit(0);
             }
             "--help" | "-h" => {
-                println!("USAGE: tinydep [--standard] [--all] [--parallel] [--storage-kills] [--threads=N] <FILE... | corpus:NAME... | - | --corpus>");
+                print!("{USAGE}");
                 std::process::exit(0);
             }
             other if other.starts_with("--threads=") => {
@@ -223,7 +221,6 @@ fn config_from(opts: &Options) -> Config {
         storage_kills: opts.storage_kills,
         threads: opts.threads,
         memo_cache: !opts.no_cache,
-        base_checkpoint: !opts.no_base_checkpoint,
         cache_file: opts.cache_file.clone(),
         ..if opts.standard {
             Config::standard()
@@ -326,7 +323,6 @@ fn run_corpus(opts: &Options) -> ExitCode {
             eprintln!(
                 "corpus cache: {} hits / {} lookups ({} inserts, {} entries); \
                  canon: {} full, {} delta; \
-                 checkpoints: {} resumed, {} rebuilt; \
                  bases: {} resident, {} sweeps evicted {}",
                 c.hits,
                 c.lookups(),
@@ -334,8 +330,6 @@ fn run_corpus(opts: &Options) -> ExitCode {
                 c.entries,
                 c.full_canons,
                 c.delta_canons,
-                c.checkpoint_resumes,
-                c.checkpoint_rebuilds,
                 c.base_forms,
                 c.base_sweeps,
                 c.base_evicted
@@ -440,15 +434,12 @@ fn main() -> ExitCode {
         eprintln!(
             "cache: {} hits / {} lookups ({} inserts); \
              canon: {} full, {} delta; \
-             checkpoints: {} resumed, {} rebuilt; \
              prefilter: {} skipped of {} tested (gcd {}, range {}, symbolic {})",
             c.hits,
             c.lookups(),
             c.inserts,
             c.full_canons,
             c.delta_canons,
-            c.checkpoint_resumes,
-            c.checkpoint_rebuilds,
             p.skipped(),
             p.tested(),
             p.gcd,

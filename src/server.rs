@@ -50,6 +50,16 @@
 //! graph of surviving dependences, and the kills-on/off summary line —
 //! byte-identical to the one-shot run.
 //!
+//! `stats` returns the request count, the row store's counters
+//! (`built`, `live`, `dead`, `interns`, `shared`, `reminted`, `sweeps`,
+//! `swept`, `shards`) and the solver cache's (`hits`, `misses`,
+//! `inserts`, `entries`, `full_canons`, `delta_canons`, `base_forms`,
+//! `base_sweeps`, `base_evicted`, `hit_rate`):
+//!
+//! ```text
+//! {"id":4,"ok":true,"stats":{"requests":4,"rows":{"built":...},"cache":{"hits":...}}}
+//! ```
+//!
 //! Reports are **byte-identical** to what a one-shot `tinydep` run with
 //! the same flags prints: both paths render through
 //! [`render_text_report`] (or the shared JSON/DOT emitters), and the
@@ -564,8 +574,7 @@ impl Server {
              \"rows\":{{\"built\":{},\"live\":{},\"dead\":{},\"interns\":{},\
              \"shared\":{},\"reminted\":{},\"sweeps\":{},\"swept\":{},\"shards\":{}}},\
              \"cache\":{{\"hits\":{},\"misses\":{},\"inserts\":{},\"entries\":{},\
-             \"full_canons\":{},\"delta_canons\":{},\
-             \"checkpoint_resumes\":{},\"checkpoint_rebuilds\":{},\"base_forms\":{},\
+             \"full_canons\":{},\"delta_canons\":{},\"base_forms\":{},\
              \"base_sweeps\":{},\"base_evicted\":{},\"hit_rate\":\"{:.4}\"}}}}",
             self.requests.load(Ordering::Relaxed),
             r.built,
@@ -583,8 +592,6 @@ impl Server {
             c.entries,
             c.full_canons,
             c.delta_canons,
-            c.checkpoint_resumes,
-            c.checkpoint_rebuilds,
             c.base_forms,
             c.base_sweeps,
             c.base_evicted,

@@ -160,3 +160,42 @@ fn json_output_parses_mentally() {
     assert!(stdout.contains("\"status\": \"dead\""), "{stdout}");
     assert!(stdout.contains("\"srcAccess\": \"a(n)\""), "{stdout}");
 }
+
+#[test]
+fn help_lists_every_accepted_option() {
+    let out = tinydep().arg("--help").output().unwrap();
+    assert!(out.status.success());
+    let help = String::from_utf8(out.stdout).unwrap();
+    let words: Vec<&str> = help.split([' ', ',', '\n']).collect();
+    // The options `parse_args` matches on: its string literals that are a
+    // single dash-led word (`"--all"`, `"-h"`, `"--threads="`, ...).
+    let src = include_str!("../src/bin/tinydep.rs");
+    let body = &src[src.find("fn parse_args").unwrap()..];
+    let body = &body[..body.find("\n}\n").unwrap()];
+    let options: std::collections::BTreeSet<&str> = body
+        .split('"')
+        .skip(1)
+        .step_by(2)
+        .filter(|s| s.starts_with('-') && *s != "--" && !s.contains(' '))
+        .collect();
+    assert!(options.len() >= 19, "found only {options:?}");
+    for opt in options {
+        let listed = if opt.ends_with('=') {
+            words.iter().any(|w| w.starts_with(opt))
+        } else {
+            words.contains(&opt)
+        };
+        assert!(listed, "--help does not list {opt}:\n{help}");
+    }
+}
+
+#[test]
+fn removed_options_are_rejected() {
+    let out = tinydep()
+        .args(["--no-base-checkpoint", "corpus:example3"])
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(stderr.contains("unknown option --no-base-checkpoint"), "{stderr}");
+}
