@@ -7,7 +7,9 @@
 //! a persisted cache file turning a CHOLSKY re-analysis fully warm
 //! without changing a byte of the report, and the two-level corpus
 //! driver reproducing the standalone reports byte-for-byte with its
-//! multi-threaded wall time inside an overhead ceiling of sequential.
+//! multi-threaded wall time inside an overhead ceiling of sequential,
+//! and the exact-formula fallback doing exactly its pinned corpus-wide
+//! work.
 
 use std::process::ExitCode;
 
@@ -47,6 +49,13 @@ const CHOLSKY_WARM_RATIO_CEILING: f64 = 0.93;
 /// the same analysis; median 2.511, headroom 45/30 ms.
 const CHOLSKY_COLD_RATIO_CEILING: f64 = 3.75;
 
+/// Corpus-wide work of the exact-formula fallback in one extended pass
+/// (deterministic counts, pinned exactly): branches explored by the
+/// lazy search, and calls that gave up conservatively (the nesting
+/// guard on `odd_even` and twice on `red_black`).
+const CORPUS_FALLBACK_BRANCHES: u64 = 19;
+const CORPUS_FALLBACK_GIVE_UPS: u64 = 3;
+
 fn main() -> ExitCode {
     let runs = run_corpus(&Config::extended());
     println!("{}", counters_line(&runs));
@@ -73,6 +82,27 @@ fn main() -> ExitCode {
         ok = false;
     } else {
         println!("smoke: prefilter ok ({skipped} pairs skipped corpus-wide)");
+    }
+
+    let mut fallback = omega::FormulaStats::default();
+    for r in &runs {
+        fallback.absorb(r.analysis.stats.fallback);
+    }
+    if (fallback.branches, fallback.give_ups)
+        != (CORPUS_FALLBACK_BRANCHES, CORPUS_FALLBACK_GIVE_UPS)
+    {
+        eprintln!(
+            "smoke: FAIL: the exact-formula fallback explored {} branches with {} \
+             give-ups over {} calls corpus-wide (pinned: {CORPUS_FALLBACK_BRANCHES} \
+             branches, {CORPUS_FALLBACK_GIVE_UPS} give-ups)",
+            fallback.branches, fallback.give_ups, fallback.searches
+        );
+        ok = false;
+    } else {
+        println!(
+            "smoke: fallback ok ({} calls, {} branches, {} give-ups corpus-wide)",
+            fallback.searches, fallback.branches, fallback.give_ups
+        );
     }
 
     // Per-pair context gate: the pair analyses must derive their refine

@@ -107,6 +107,13 @@ pub struct Stats {
     /// §4.5 pre-filter counters (all zero when [`Config::quick_tests`]
     /// is off).
     pub prefilter: PrefilterStats,
+    /// Work of the exact-formula fallback of
+    /// [`implies_union`](crate::logic::implies_union) across every §4
+    /// test: `searches` counts fallback calls, `branches` the disjunct
+    /// alternatives explored, `give_ups` the calls that exceeded their
+    /// budget or nesting guard and stayed conservative (all zero when
+    /// [`Config::formula_fallback`] is off).
+    pub fallback: omega::FormulaStats,
     /// True when [`Config::cache_file`] was set but writing the cache
     /// back failed. The analysis itself is unaffected (the report is
     /// complete and correct); a warning went to stderr. Callers that
@@ -452,8 +459,9 @@ fn analyze_with(
     })?;
     let mut flows_by_read: Vec<Vec<(Dependence, u64)>> =
         (0..reads.len()).map(|_| Vec::new()).collect();
-    for (read_pos, (pair_stat, dep, pf)) in merge_order.into_iter().zip(flow_results) {
+    for (read_pos, (pair_stat, dep, pf, fallback)) in merge_order.into_iter().zip(flow_results) {
         stats.prefilter.absorb(pf);
+        stats.fallback.absorb(fallback);
         stats.pairs.push(pair_stat);
         if let Some(pair) = dep {
             flows_by_read[read_pos].push(pair);
@@ -471,17 +479,27 @@ fn analyze_with(
         .zip(flows_by_read)
         .collect();
     let kill_results = exec.map(kill_tasks, |_, (read_label, mut flows_here)| {
+        let mut fallback = omega::FormulaStats::default();
         let kill_stats = if config.kill {
-            kill_passes(info, config, cache, &outputs, read_label, &mut flows_here)?
+            kill_passes(
+                info,
+                config,
+                cache,
+                &outputs,
+                read_label,
+                &mut flows_here,
+                &mut fallback,
+            )?
         } else {
             Vec::new()
         };
-        Ok((flows_here, kill_stats))
+        Ok((flows_here, kill_stats, fallback))
     })?;
     let mut flows = Vec::new();
-    for (flows_here, kill_stats) in kill_results {
+    for (flows_here, kill_stats, fallback) in kill_results {
         flows.extend(flows_here.into_iter().map(|(d, _)| d));
         stats.kills.extend(kill_stats);
+        stats.fallback.absorb(fallback);
     }
 
     // 4. Anti dependences (reported unchanged, as in the paper): one task
@@ -531,7 +549,7 @@ fn analyze_with(
         antis.extend(dep);
     }
 
-    storage_kill_passes(info, config, cache, &mut outputs, &mut antis)?;
+    storage_kill_passes(info, config, cache, &mut outputs, &mut antis, &mut stats.fallback)?;
 
     if let Some(cache) = cache {
         // For a caller-owned cache these counters are cumulative across
@@ -559,6 +577,16 @@ fn fresh_budget(config: &Config, cache: &Option<Arc<omega::SolverCache>>) -> Bud
     }
 }
 
+/// A stage-2 task's result: the pair's timing record, its dependence
+/// (with its extended-analysis time), and its pre-filter and fallback
+/// counters.
+type FlowPairResult = (
+    PairStat,
+    Option<(Dependence, u64)>,
+    PrefilterStats,
+    omega::FormulaStats,
+);
+
 /// Stage-2 task: dependence construction plus the extended analysis
 /// (refinement then covering) for one same-array (write, read) pair.
 fn analyze_flow_pair(
@@ -569,7 +597,7 @@ fn analyze_flow_pair(
     read_label: usize,
     read_idx: usize,
     w: usize,
-) -> Result<(PairStat, Option<(Dependence, u64)>, PrefilterStats)> {
+) -> Result<FlowPairResult> {
     let dst = info.stmt(read_label);
     let src = info.stmt(w);
     let mut pf = PrefilterStats::default();
@@ -595,7 +623,12 @@ fn analyze_flow_pair(
         );
         pf.record(skip);
         if skip.is_some() {
-            return Ok((no_dep_stat(t0.elapsed().as_nanos() as u64), None, pf));
+            return Ok((
+                no_dep_stat(t0.elapsed().as_nanos() as u64),
+                None,
+                pf,
+                omega::FormulaStats::default(),
+            ));
         }
     }
     let mut budget = fresh_budget(config, cache);
@@ -611,7 +644,7 @@ fn analyze_flow_pair(
     let std_ns = t0.elapsed().as_nanos() as u64;
 
     let Some(mut dep) = dep else {
-        return Ok((no_dep_stat(std_ns), None, pf));
+        return Ok((no_dep_stat(std_ns), None, pf, omega::FormulaStats::default()));
     };
 
     // Extended analysis: refinement then covering (the paper performs
@@ -636,6 +669,7 @@ fn analyze_flow_pair(
         }
         Err(e) => return Err(e),
     };
+    let mut fallback = budget.formula_stats();
     let mut budget = fresh_budget(config, cache);
     let c = match check_covering(info, &mut dep, config, &mut budget) {
         Ok(c) => c,
@@ -648,6 +682,7 @@ fn analyze_flow_pair(
         Err(e) => return Err(e),
     };
     let ext_ns = std_ns + t1.elapsed().as_nanos() as u64;
+    fallback.absorb(budget.formula_stats());
 
     let consulted = r.consulted_omega || c.consulted_omega;
     let split = r.split || c.split;
@@ -667,7 +702,7 @@ fn analyze_flow_pair(
         },
         dep_found: true,
     };
-    Ok((stat, Some((dep, ext_ns)), pf))
+    Ok((stat, Some((dep, ext_ns)), pf, fallback))
 }
 
 /// Stage-3 task: the pairwise kill analysis for one read.
@@ -685,6 +720,9 @@ fn analyze_flow_pair(
 /// that victim's earlier deaths), and the nested spawn under the
 /// per-read fan-out regressed 8-thread wall time by ~30%. See
 /// EXPERIMENTS.md ("Intra-read kill parallelism").
+///
+/// The exact-formula fallback work of every kill test is added to
+/// `fallback`.
 fn kill_passes(
     info: &ProgramInfo,
     config: &Config,
@@ -692,6 +730,7 @@ fn kill_passes(
     outputs: &[Dependence],
     read_label: usize,
     flows_here: &mut Vec<(Dependence, u64)>,
+    fallback: &mut omega::FormulaStats,
 ) -> Result<Vec<KillStat>> {
     let dst = info.stmt(read_label);
     let has_output = |src: usize, dst: usize| {
@@ -820,6 +859,7 @@ fn kill_passes(
                 }
                 Err(e) => return Err(e),
             };
+            fallback.absorb(budget.formula_stats());
             if out.killed {
                 victim.dead = Some(DeadReason::Killed);
             }
@@ -843,13 +883,15 @@ fn kill_passes(
 /// again, and an anti dependence (read A -> write C) is dead when B
 /// always overwrites the read location first (C's ordering constraint
 /// is then carried through B). Runs sequentially: later tests skip
-/// dependences already found dead.
+/// dependences already found dead. The exact-formula fallback work is
+/// added to `fallback`.
 fn storage_kill_passes(
     info: &ProgramInfo,
     config: &Config,
     cache: &Option<Arc<omega::SolverCache>>,
     outputs: &mut [Dependence],
     antis: &mut [Dependence],
+    fallback: &mut omega::FormulaStats,
 ) -> Result<()> {
     if !config.storage_kills {
         return Ok(());
@@ -926,6 +968,7 @@ fn storage_kill_passes(
             }
         }
     }
+    fallback.absorb(budget.formula_stats());
     Ok(())
 }
 

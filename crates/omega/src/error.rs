@@ -16,6 +16,13 @@ pub enum Error {
         /// The budget (in elementary solver steps) that was exhausted.
         budget: usize,
     },
+    /// A formula nests connectives and quantifiers deeper than the
+    /// formula layer follows (negating projections whose pieces keep
+    /// existentials can regress without bound).
+    TooDeep {
+        /// The nesting-depth limit that was exceeded.
+        depth: usize,
+    },
     /// An operation mixed problems with incompatible variable tables.
     SpaceMismatch,
 }
@@ -26,6 +33,9 @@ impl fmt::Display for Error {
             Error::Overflow => write!(f, "integer overflow in constraint arithmetic"),
             Error::TooComplex { budget } => {
                 write!(f, "work budget of {budget} solver steps exhausted")
+            }
+            Error::TooDeep { depth } => {
+                write!(f, "formula nesting depth limit of {depth} exceeded")
             }
             Error::SpaceMismatch => {
                 write!(f, "operands do not share a variable table")
@@ -48,6 +58,7 @@ mod tests {
         for e in [
             Error::Overflow,
             Error::TooComplex { budget: 10 },
+            Error::TooDeep { depth: 64 },
             Error::SpaceMismatch,
         ] {
             let s = e.to_string();

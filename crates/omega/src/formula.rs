@@ -1,20 +1,37 @@
 //! A Presburger-formula layer on top of conjunctions (§3.2).
 //!
 //! Formulas are built from linear atoms over a shared variable space with
-//! `∧`, `∨`, `¬`, `∃` and `∀`. Validity and satisfiability are decided by
-//! rewriting to disjunctive normal form, using the Omega test's projection
-//! for existential quantifiers (splinters become extra disjuncts).
+//! `∧`, `∨`, `¬`, `∃` and `∀`. Satisfiability is decided by a lazy
+//! depth-first search over the formula's negation normal form: an `∧` is
+//! worked through one conjunct at a time, each `∨` contributes one
+//! alternative to a running conjunction, and a branch is pruned as soon as
+//! that conjunction has no integer solution. The search stops at the first
+//! satisfiable leaf, so the disjunctive normal form — the product of every
+//! conjunct's alternatives — is never built.
+//!
+//! Every existential a branch takes on (the `α` of a [`Formula::Divides`]
+//! atom, the bound variables of a positive `∃`, the leftover existentials
+//! of a projection piece) gets fresh columns of that branch, so two
+//! conjuncts' existentials never alias. A universal `∀x. f` is decided as
+//! `¬∃x. ¬f`: the body is searched exhaustively, each satisfiable leaf is
+//! projected with the Omega test (splinters become extra pieces), and the
+//! negation of every piece joins the branch.
 //!
 //! The paper deliberately does not characterize the subclass it decides
-//! efficiently; the same is true here — deeply alternating quantifiers can
-//! blow up in DNF size, but the shapes dependence analysis needs
-//! (`∀x. p ⇒ ∃y. q`) stay small.
+//! efficiently; the same is true here. Negating a projection piece that
+//! keeps existentials nests another `∀`, which can regress without bound:
+//! the search gives up with [`Error::TooDeep`](crate::Error::TooDeep) past
+//! a fixed nesting depth and with
+//! [`Error::TooComplex`](crate::Error::TooComplex) when the budget (one
+//! step per branch, plus the solver work of each pruning check) runs out.
+
+use std::ops::ControlFlow;
 
 use crate::linexpr::{Constraint, LinExpr, Relation};
 use crate::problem::{Budget, Problem};
 use crate::redundant::negate_geq;
 use crate::var::{VarId, VarKind};
-use crate::Result;
+use crate::{Error, Result};
 
 /// A formula of Presburger arithmetic over a fixed variable space.
 ///
@@ -97,81 +114,87 @@ impl Formula {
     /// negation decidable). Remaining wildcards are wrapped in an
     /// existential.
     pub fn from_problem(p: &Problem) -> Formula {
+        Formula::from_problem_bound(p, |v| p.var_info(v).kind() == VarKind::Wildcard)
+    }
+
+    /// [`Formula::from_problem`] with the existential columns named by
+    /// `bound` instead of by their wildcard kind.
+    fn from_problem_bound(p: &Problem, bound: impl Fn(VarId) -> bool) -> Formula {
         if p.is_known_infeasible() {
             return Formula::False;
         }
-        // Count wildcard occurrences across all constraints.
+        // Count bound-variable occurrences across all constraints.
         let mut occurrences = vec![0usize; p.num_vars()];
         for c in p.eqs().iter().chain(p.geqs()) {
             for (v, _) in c.expr().terms() {
+                if v.index() >= occurrences.len() {
+                    occurrences.resize(v.index() + 1, 0);
+                }
                 occurrences[v.index()] += 1;
             }
         }
-        let is_lone_wild = |v: VarId| {
-            p.var_info(v).kind() == VarKind::Wildcard && occurrences[v.index()] == 1
-        };
         let mut atoms: Vec<Formula> = Vec::new();
-        let mut leftover_wilds: std::collections::BTreeSet<VarId> = std::collections::BTreeSet::new();
+        let mut leftover: std::collections::BTreeSet<VarId> = std::collections::BTreeSet::new();
         for c in p.eqs() {
-            // Stride pattern: exactly one lone wildcard in an equality.
-            let wilds: Vec<(VarId, crate::int::Coef)> = c
-                .expr()
-                .terms()
-                .filter(|&(v, _)| p.var_info(v).kind() == VarKind::Wildcard)
-                .collect();
-            if wilds.len() == 1 && is_lone_wild(wilds[0].0) {
+            // Stride pattern: exactly one lone bound variable in an equality.
+            let wilds: Vec<(VarId, crate::int::Coef)> =
+                c.expr().terms().filter(|&(v, _)| bound(v)).collect();
+            if wilds.len() == 1 && occurrences[wilds[0].0.index()] == 1 {
                 let (w, g) = wilds[0];
                 let mut rest = c.expr().clone();
                 rest.set_coef(w, 0);
                 atoms.push(Formula::Divides(g.abs(), rest));
                 continue;
             }
-            for (v, _) in &wilds {
-                leftover_wilds.insert(*v);
-            }
+            leftover.extend(wilds.iter().map(|&(v, _)| v));
             atoms.push(Formula::Atom(c.clone()));
         }
         for c in p.geqs() {
-            for (v, _) in c.expr().terms() {
-                if p.var_info(v).kind() == VarKind::Wildcard {
-                    leftover_wilds.insert(v);
-                }
-            }
+            leftover.extend(c.expr().terms().map(|(v, _)| v).filter(|&v| bound(v)));
             atoms.push(Formula::Atom(c.clone()));
         }
         let body = Formula::And(atoms);
-        if leftover_wilds.is_empty() {
+        if leftover.is_empty() {
             body
         } else {
-            Formula::Exists(leftover_wilds.into_iter().collect(), Box::new(body))
+            Formula::Exists(leftover.into_iter().collect(), Box::new(body))
         }
     }
 
-    /// Rewrites into disjunctive normal form: a union of conjunctions over
-    /// the free variables of `space`. Existentials are eliminated by exact
-    /// projection; universals by `¬∃¬`.
+    /// Every satisfiable leaf of the search: a union of conjunctions whose
+    /// integer points, projected onto `space`'s columns, are exactly the
+    /// formula's models. Columns past `space` are existentials (of
+    /// divisibility atoms, positive `∃`s and projection pieces).
     ///
     /// # Errors
     ///
-    /// Propagates solver errors; may be exponential for deeply alternating
-    /// formulas (guarded by `budget`).
+    /// Propagates solver errors; [`Error::TooComplex`] when `budget` runs
+    /// out and [`Error::TooDeep`] past the nesting-depth guard.
     pub fn dnf(&self, space: &Problem, budget: &mut Budget) -> Result<Vec<Problem>> {
         let nnf = self.to_nnf(false);
-        nnf.dnf_nnf(space, budget, 0)
+        leaves(&nnf, empty_over(space, nnf.width()), 0, budget)
     }
 
-    /// Satisfiability over the free variables.
+    /// Satisfiability over the free variables: the depth-first search
+    /// returns on the first satisfiable leaf. The search's work is counted
+    /// in `budget`'s [`FormulaStats`](crate::FormulaStats).
     ///
     /// # Errors
     ///
-    /// Propagates solver errors.
+    /// Propagates solver errors; [`Error::TooComplex`] when `budget` runs
+    /// out and [`Error::TooDeep`] past the nesting-depth guard (both also
+    /// counted as give-ups).
     pub fn is_satisfiable(&self, space: &Problem, budget: &mut Budget) -> Result<bool> {
-        for d in self.dnf(space, budget)? {
-            if d.is_satisfiable_with(budget)? {
-                return Ok(true);
-            }
+        budget.formula.searches += 1;
+        let nnf = self.to_nnf(false);
+        let start = Branch::new(empty_over(space, nnf.width()));
+        let found = search(&nnf, 0, None, start, budget, &mut |_, _| {
+            Ok(ControlFlow::Break(()))
+        });
+        if let Err(Error::TooComplex { .. } | Error::TooDeep { .. }) = found {
+            budget.formula.give_ups += 1;
         }
-        Ok(false)
+        Ok(found?.is_break())
     }
 
     /// Validity: true for **all** integer values of the free variables.
@@ -272,141 +295,304 @@ impl Formula {
         }
     }
 
-    /// DNF of a formula already in NNF.
-    fn dnf_nnf(&self, space: &Problem, budget: &mut Budget, depth: usize) -> Result<Vec<Problem>> {
-        if depth > MAX_FORMULA_DEPTH {
-            return Err(crate::Error::TooComplex {
-                budget: MAX_FORMULA_DEPTH,
-            });
-        }
-        let depth = depth + 1;
+    /// One past the highest column the formula mentions.
+    fn width(&self) -> usize {
         match self {
-            Formula::True => Ok(vec![space_copy(space)]),
-            Formula::False => Ok(Vec::new()),
+            Formula::True | Formula::False => 0,
+            Formula::Atom(c) => c.expr().coeffs().len(),
+            Formula::Divides(_, e) | Formula::NotDivides(_, e) => e.coeffs().len(),
+            Formula::And(fs) | Formula::Or(fs) => fs.iter().map(Formula::width).max().unwrap_or(0),
+            Formula::Not(f) => f.width(),
+            Formula::Exists(vs, f) | Formula::Forall(vs, f) => vs
+                .iter()
+                .map(|v| v.index() + 1)
+                .max()
+                .unwrap_or(0)
+                .max(f.width()),
+        }
+    }
+
+    /// The formula with every free occurrence of a `from` column replaced
+    /// by its `to` column (the `to` columns must not occur in it).
+    fn renamed(&self, map: &[(VarId, VarId)]) -> Formula {
+        let expr = |e: &LinExpr| {
+            let mut out = LinExpr::constant_expr(e.constant());
+            for (v, c) in e.terms() {
+                let v = map
+                    .iter()
+                    .find(|&&(from, _)| from == v)
+                    .map_or(v, |&(_, to)| to);
+                out.set_coef(v, c);
+            }
+            out
+        };
+        let scoped = |vs: &[VarId]| -> Vec<(VarId, VarId)> {
+            map.iter()
+                .copied()
+                .filter(|(from, _)| !vs.contains(from))
+                .collect()
+        };
+        match self {
+            Formula::True => Formula::True,
+            Formula::False => Formula::False,
             Formula::Atom(c) => {
-                let mut p = space_copy(space);
-                p.add_constraint(c.clone());
-                Ok(vec![p])
+                let e = expr(c.expr());
+                let atom = match c.relation() {
+                    Relation::Zero => Constraint::eq(e),
+                    Relation::NonNegative => Constraint::geq(e),
+                };
+                Formula::Atom(atom.with_color(c.color()))
             }
-            Formula::Divides(g, e) => {
-                let g = g.abs();
-                let mut p = space_copy(space);
-                if g <= 1 {
-                    // 1 | e and 0 | e ≡ e = 0 (for g = 0).
-                    if g == 0 {
-                        p.add_eq(e.clone());
-                    }
-                    return Ok(vec![p]);
-                }
-                // ∃α. e − g·α = 0
-                let alpha = p.add_wildcard();
-                let mut eq = e.clone();
-                eq.set_coef(alpha, -g);
-                p.add_eq(eq);
-                Ok(vec![p])
-            }
-            Formula::NotDivides(g, e) => {
-                let g = g.abs();
-                let mut p = space_copy(space);
-                if g == 1 {
-                    return Ok(Vec::new()); // 1 divides everything
-                }
-                if g == 0 {
-                    // 0 ∤ e ≡ e ≠ 0.
-                    return Formula::not(Formula::eq0(e.clone())).to_nnf(false).dnf_nnf(space, budget, depth);
-                }
-                // ∃α,ρ. e = g·α + ρ ∧ 1 ≤ ρ ≤ g−1
-                let alpha = p.add_wildcard();
-                let rho = p.add_wildcard();
-                let mut eq = e.clone();
-                eq.set_coef(alpha, -g);
-                eq.set_coef(rho, -1);
-                p.add_eq(eq);
-                p.add_geq(LinExpr::var(rho).plus_const(-1));
-                p.add_geq(LinExpr::term(-1, rho).plus_const(g - 1));
-                Ok(vec![p])
-            }
-            // NNF has no bare negations, but stray ones (e.g. built by
-            // callers) are handled by renormalizing.
-            Formula::Not(f) => f.to_nnf(true).dnf_nnf(space, budget, depth),
-            Formula::Or(fs) => {
-                let mut out = Vec::new();
-                for f in fs {
-                    out.extend(f.dnf_nnf(space, budget, depth)?);
-                }
-                Ok(out)
-            }
-            Formula::And(fs) => {
-                let mut acc = vec![space_copy(space)];
-                for f in fs {
-                    let parts = f.dnf_nnf(space, budget, depth)?;
-                    let mut next = Vec::new();
-                    budget.spend(acc.len() * parts.len())?;
-                    for a in &acc {
-                        for b in &parts {
-                            let mut c = a.clone();
-                            c.and(b)?;
-                            next.push(c);
-                        }
-                    }
-                    acc = next;
-                }
-                Ok(acc)
-            }
-            Formula::Exists(vs, f) => {
-                let inner = f.dnf_nnf(space, budget, depth)?;
-                let mut out = Vec::new();
-                for p in inner {
-                    let keep: Vec<VarId> = p
-                        .var_ids()
-                        .filter(|v| {
-                            !vs.contains(v)
-                                && !p.is_dead(*v)
-                                && p.var_info(*v).kind() != VarKind::Wildcard
-                        })
-                        .collect();
-                    let proj = p.project_with(&keep, budget)?;
-                    for piece in proj.into_problems() {
-                        if !piece.is_known_infeasible() {
-                            out.push(piece);
-                        }
-                    }
-                }
-                Ok(out)
-            }
-            Formula::Forall(vs, f) => {
-                // ∀x.f ≡ ¬∃x.¬f. Compute the DNF of ∃x.¬f (f is already
-                // in NNF, so `to_nnf(true)` is its NNF negation), then
-                // negate the resulting union: ∧ over pieces of ¬piece.
-                let not_f = f.to_nnf(true);
-                let pieces =
-                    Formula::Exists(vs.clone(), Box::new(not_f)).dnf_nnf(space, budget, depth)?;
-                // Projection pieces may carry wildcard columns beyond the
-                // original space; widen the table before re-entering DNF.
-                let mut wide = space.clone();
-                for p in &pieces {
-                    wide.extend_space_to(p)?;
-                }
-                let negation = Formula::And(
-                    pieces
-                        .iter()
-                        .map(|p| Formula::not(Formula::from_problem(p)).to_nnf(false))
-                        .collect(),
-                );
-                negation.dnf_nnf(&wide, budget, depth)
-            }
+            Formula::Divides(g, e) => Formula::Divides(*g, expr(e)),
+            Formula::NotDivides(g, e) => Formula::NotDivides(*g, expr(e)),
+            Formula::And(fs) => Formula::And(fs.iter().map(|f| f.renamed(map)).collect()),
+            Formula::Or(fs) => Formula::Or(fs.iter().map(|f| f.renamed(map)).collect()),
+            Formula::Not(f) => Formula::not(f.renamed(map)),
+            Formula::Exists(vs, f) => Formula::exists(vs.clone(), f.renamed(&scoped(vs))),
+            Formula::Forall(vs, f) => Formula::forall(vs.clone(), f.renamed(&scoped(vs))),
         }
     }
 }
 
-/// Recursion guard for deeply alternating formulas.
+/// Recursion guard: the connective and quantifier nesting the search
+/// follows before giving up with [`Error::TooDeep`].
 const MAX_FORMULA_DEPTH: usize = 64;
 
-fn space_copy(space: &Problem) -> Problem {
+/// What the search does with a satisfiable leaf: go on or stop.
+type Visit<'v> = dyn FnMut(Problem, &mut Budget) -> Result<ControlFlow<()>> + 'v;
+
+/// The conjuncts still to add on the current branch: a stack of sibling
+/// slices, innermost first, each at its nesting depth.
+struct Rest<'a> {
+    items: &'a [Formula],
+    depth: usize,
+    next: Option<&'a Rest<'a>>,
+}
+
+/// One branch of the search: the conjunction of the alternatives chosen
+/// so far.
+#[derive(Clone)]
+struct Branch {
+    p: Problem,
+    /// `p` passed a satisfiability check and has not grown since.
+    checked: bool,
+}
+
+impl Branch {
+    fn new(p: Problem) -> Self {
+        Branch { p, checked: false }
+    }
+
+    fn add(&mut self, c: Constraint) {
+        self.p.add_constraint(c);
+        self.checked = false;
+    }
+
+    /// Whether the conjunction so far has an integer solution. A branch
+    /// without one is pruned: adding conjuncts cannot revive it.
+    fn alive(&mut self, budget: &mut Budget) -> Result<bool> {
+        if !self.checked {
+            self.checked = self.p.is_satisfiable_with(budget)?;
+        }
+        Ok(self.checked)
+    }
+}
+
+/// Conjoins `f` (in NNF, at nesting `depth`) to `branch`, then the
+/// pending conjuncts of `rest`.
+fn search(
+    f: &Formula,
+    depth: usize,
+    rest: Option<&Rest<'_>>,
+    mut branch: Branch,
+    budget: &mut Budget,
+    visit: &mut Visit<'_>,
+) -> Result<ControlFlow<()>> {
+    if depth > MAX_FORMULA_DEPTH {
+        return Err(Error::TooDeep {
+            depth: MAX_FORMULA_DEPTH,
+        });
+    }
+    match f {
+        Formula::True => {}
+        Formula::False => return Ok(ControlFlow::Continue(())),
+        Formula::Atom(c) => branch.add(c.clone()),
+        Formula::Divides(g, e) => match g.abs() {
+            // 0 | e ≡ e = 0.
+            0 => branch.add(Constraint::eq(e.clone())),
+            1 => {}
+            g => {
+                // ∃α. e − g·α = 0
+                let alpha = branch.p.add_wildcard();
+                let mut eq = e.clone();
+                eq.set_coef(alpha, -g);
+                branch.add(Constraint::eq(eq));
+            }
+        },
+        Formula::NotDivides(g, e) => match g.abs() {
+            // 0 ∤ e ≡ e ≠ 0.
+            0 => {
+                let ne = Formula::eq0(e.clone()).to_nnf(true);
+                return search(&ne, depth + 1, rest, branch, budget, visit);
+            }
+            // 1 divides everything.
+            1 => return Ok(ControlFlow::Continue(())),
+            g => {
+                // ∃α,ρ. e = g·α + ρ ∧ 1 ≤ ρ ≤ g−1
+                let alpha = branch.p.add_wildcard();
+                let rho = branch.p.add_wildcard();
+                let mut eq = e.clone();
+                eq.set_coef(alpha, -g);
+                eq.set_coef(rho, -1);
+                branch.add(Constraint::eq(eq));
+                branch.add(Constraint::geq(LinExpr::var(rho).plus_const(-1)));
+                branch.add(Constraint::geq(LinExpr::term(-1, rho).plus_const(g - 1)));
+            }
+        },
+        // The search runs on NNF, which has no bare negation; one that
+        // appears anyway is renormalized.
+        Formula::Not(g) => return search(&g.to_nnf(true), depth + 1, rest, branch, budget, visit),
+        Formula::And(fs) => {
+            let inner = Rest {
+                items: fs,
+                depth: depth + 1,
+                next: rest,
+            };
+            return resume(Some(&inner), branch, budget, visit);
+        }
+        // A lone alternative is no choice.
+        Formula::Or(fs) if fs.len() == 1 => {
+            return search(&fs[0], depth + 1, rest, branch, budget, visit)
+        }
+        Formula::Or(fs) => {
+            if !branch.alive(budget)? {
+                return Ok(ControlFlow::Continue(()));
+            }
+            for alt in fs {
+                budget.spend(1)?;
+                budget.formula.branches += 1;
+                if search(alt, depth + 1, rest, branch.clone(), budget, visit)?.is_break() {
+                    return Ok(ControlFlow::Break(()));
+                }
+            }
+            return Ok(ControlFlow::Continue(()));
+        }
+        Formula::Exists(vs, body) => {
+            // The bound variables become fresh columns of this branch.
+            let map: Vec<(VarId, VarId)> =
+                vs.iter().map(|&v| (v, branch.p.add_wildcard())).collect();
+            return search(&body.renamed(&map), depth + 1, rest, branch, budget, visit);
+        }
+        Formula::Forall(vs, body) => {
+            if !branch.alive(budget)? {
+                return Ok(ControlFlow::Continue(()));
+            }
+            // ∀x.f ≡ ¬∃x.¬f: the branch takes on the negation of every
+            // projected piece of ∃x.¬f. A piece's columns outside the
+            // kept ones are its own existentials.
+            let width = branch.p.num_vars();
+            let pieces = exists_pieces(vs, &body.to_nnf(true), &branch.p, depth + 1, budget)?;
+            let negation = Formula::And(
+                pieces
+                    .iter()
+                    .map(|p| {
+                        Formula::from_problem_bound(p, |v| v.index() >= width || vs.contains(&v))
+                            .to_nnf(true)
+                    })
+                    .collect(),
+            );
+            return search(&negation, depth + 1, rest, branch, budget, visit);
+        }
+    }
+    resume(rest, branch, budget, visit)
+}
+
+/// Conjoins the next pending conjunct of `rest`, or hands a complete
+/// branch to `visit` once nothing is pending.
+fn resume(
+    mut rest: Option<&Rest<'_>>,
+    mut branch: Branch,
+    budget: &mut Budget,
+    visit: &mut Visit<'_>,
+) -> Result<ControlFlow<()>> {
+    while let Some(r) = rest {
+        if let Some((first, items)) = r.items.split_first() {
+            let tail = Rest {
+                items,
+                depth: r.depth,
+                next: r.next,
+            };
+            return search(first, r.depth, Some(&tail), branch, budget, visit);
+        }
+        rest = r.next;
+    }
+    if branch.alive(budget)? {
+        visit(branch.p, budget)
+    } else {
+        Ok(ControlFlow::Continue(()))
+    }
+}
+
+/// The projected pieces of `∃vs. body` (`body` in NNF) over `base`'s
+/// table: an exhaustive search of the body from an empty conjunction,
+/// each satisfiable leaf projected onto `base`'s live columns outside
+/// `vs` (splinters become extra pieces).
+fn exists_pieces(
+    vs: &[VarId],
+    body: &Formula,
+    base: &Problem,
+    depth: usize,
+    budget: &mut Budget,
+) -> Result<Vec<Problem>> {
+    let keep: Vec<VarId> = base
+        .var_ids()
+        .filter(|v| !vs.contains(v) && !base.is_dead(*v))
+        .collect();
+    let leaves = leaves(body, empty_over(base, body.width()), depth, budget)?;
+    let mut pieces = Vec::new();
+    for leaf in leaves {
+        for piece in leaf.project_with(&keep, budget)?.into_problems() {
+            if !piece.is_known_infeasible() {
+                pieces.push(piece);
+            }
+        }
+    }
+    Ok(pieces)
+}
+
+/// Every satisfiable leaf of the search of `f` (in NNF, at nesting
+/// `depth`) from the conjunction `start`.
+fn leaves(f: &Formula, start: Problem, depth: usize, budget: &mut Budget) -> Result<Vec<Problem>> {
+    let mut out = Vec::new();
+    // The visitor never stops the search, so it always runs to the end.
+    let _ = search(
+        f,
+        depth,
+        None,
+        Branch::new(start),
+        budget,
+        &mut |leaf, _| {
+            out.push(leaf);
+            Ok(ControlFlow::Continue(()))
+        },
+    )?;
+    Ok(out)
+}
+
+/// An empty conjunction over `space`'s table, widened with wildcards to
+/// at least `width` columns. A search starts from one as wide as its
+/// formula, so the fresh columns a branch adds land past every column a
+/// formula in it names: free columns are below the start's width, and a
+/// `∀`'s bound columns live only in the sub-search that projects them
+/// away.
+fn empty_over(space: &Problem, width: usize) -> Problem {
     let mut p = space.clone();
     p.eqs.clear();
     p.geqs.clear();
     p.known_infeasible = false;
+    if width > 0 {
+        p.ensure_var(VarId::from_index(width - 1));
+    }
     p
 }
 
@@ -517,6 +703,72 @@ mod tests {
         );
         let mut b = Budget::default();
         assert!(even.implies(mod4).is_valid(&s, &mut b).unwrap());
+    }
+
+    #[test]
+    fn divisibility_existentials_get_their_own_columns() {
+        // 2 | x ∧ 3 | y ∧ x = 2 ∧ y = 6 holds at (2, 6). Sharing one α
+        // between the two atoms would demand x = 2α ∧ y = 3α: no solution.
+        let (s, x, y) = space_xy();
+        let f = Formula::and(vec![
+            Formula::Divides(2, LinExpr::var(x)),
+            Formula::Divides(3, LinExpr::var(y)),
+            Formula::eq0(LinExpr::var(x).plus_const(-2)),
+            Formula::eq0(LinExpr::var(y).plus_const(-6)),
+        ]);
+        assert!(f.is_satisfiable(&s, &mut Budget::default()).unwrap());
+    }
+
+    #[test]
+    fn non_divisibility_existentials_get_their_own_columns() {
+        // ¬(2 | x) ∧ ¬(4 | y) ∧ x = 1 ∧ y = 2 holds at (1, 2). Sharing α
+        // and ρ would demand 1 = 2α + ρ ∧ 2 = 4α + ρ: no solution.
+        let (s, x, y) = space_xy();
+        let f = Formula::and(vec![
+            Formula::not(Formula::Divides(2, LinExpr::var(x))),
+            Formula::not(Formula::Divides(4, LinExpr::var(y))),
+            Formula::eq0(LinExpr::var(x).plus_const(-1)),
+            Formula::eq0(LinExpr::var(y).plus_const(-2)),
+        ]);
+        assert!(f.is_satisfiable(&s, &mut Budget::default()).unwrap());
+    }
+
+    #[test]
+    fn search_counts_branches_and_stops_at_the_first_model() {
+        // (x <= 0 ∨ x >= 5) ∧ (y <= 0 ∨ y >= 5): the first branch of each
+        // disjunction is satisfiable, so two branches suffice.
+        let (s, x, y) = space_xy();
+        let split = |v| {
+            Formula::or(vec![
+                Formula::geq0(LinExpr::term(-1, v)),
+                Formula::geq0(LinExpr::var(v).plus_const(-5)),
+            ])
+        };
+        let mut b = Budget::default();
+        assert!(Formula::and(vec![split(x), split(y)])
+            .is_satisfiable(&s, &mut b)
+            .unwrap());
+        let stats = b.formula_stats();
+        assert_eq!((stats.searches, stats.branches, stats.give_ups), (1, 2, 0));
+    }
+
+    #[test]
+    fn nesting_guard_names_the_depth() {
+        let (s, x, _) = space_xy();
+        let mut f = Formula::geq0(LinExpr::var(x));
+        for _ in 0..=MAX_FORMULA_DEPTH {
+            f = Formula::and(vec![f]);
+        }
+        let mut b = Budget::default();
+        let err = f.is_satisfiable(&s, &mut b).unwrap_err();
+        assert_eq!(
+            err,
+            crate::Error::TooDeep {
+                depth: MAX_FORMULA_DEPTH
+            }
+        );
+        assert!(err.to_string().contains("nesting depth"));
+        assert_eq!(b.formula_stats().give_ups, 1);
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //! * **Gists**: `gist p given q`, the new information in `p` given `q`
 //!   ([`gist`]), and fast implication tautology checks ([`implies`]);
 //! * A **Presburger formula layer** with `∧ ∨ ¬ ∃ ∀` over linear atoms
-//!   ([`Formula`]), decided through DNF + projection.
+//!   ([`Formula`]), decided by a lazy depth-first search over disjuncts
+//!   with projection for quantifiers.
 //!
 //! # Quick example
 //!
@@ -73,7 +74,7 @@ pub use gist::{gist, gist_projected, gist_with, implies, implies_with};
 pub use linexpr::{Color, Constraint, LinExpr, Relation};
 pub use normalize::Outcome;
 pub use pair::{DeltaProblem, PairContext, ProblemLike};
-pub use problem::{Budget, Problem, SolverOptions, DEFAULT_BUDGET};
+pub use problem::{Budget, FormulaStats, Problem, SolverOptions, DEFAULT_BUDGET};
 pub use project::Projection;
 pub use row::{gc as row_store_gc, stats as row_store_stats, RowShardStats, RowStoreStats};
 pub use set::{union_of, ProblemSet};

@@ -43,15 +43,40 @@ impl Default for SolverOptions {
     }
 }
 
+/// Work counters of the [`Formula`](crate::Formula) layer's depth-first
+/// satisfiability search, accumulated on the [`Budget`] that paid for it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FormulaStats {
+    /// Satisfiability searches started.
+    pub searches: u64,
+    /// Branches explored: one per alternative of a disjunction (or piece
+    /// of a projected existential) the search descended into.
+    pub branches: u64,
+    /// Searches abandoned with [`Error::TooComplex`] or
+    /// [`Error::TooDeep`].
+    pub give_ups: u64,
+}
+
+impl FormulaStats {
+    /// Adds `other`'s counters to these.
+    pub fn absorb(&mut self, other: FormulaStats) {
+        self.searches += other.searches;
+        self.branches += other.branches;
+        self.give_ups += other.give_ups;
+    }
+}
+
 /// A work budget threaded through recursive solver routines so pathological
 /// inputs fail cleanly with [`Error::TooComplex`] instead of diverging.
-/// Also carries the [`SolverOptions`] for the run.
+/// Also carries the [`SolverOptions`] for the run and the formula-search
+/// counters it paid for.
 #[derive(Debug, Clone)]
 pub struct Budget {
     remaining: usize,
     initial: usize,
     pub(crate) options: SolverOptions,
     cache: Option<Arc<SolverCache>>,
+    pub(crate) formula: FormulaStats,
 }
 
 impl Budget {
@@ -62,6 +87,7 @@ impl Budget {
             initial: steps,
             options: SolverOptions::default(),
             cache: None,
+            formula: FormulaStats::default(),
         }
     }
 
@@ -90,6 +116,11 @@ impl Budget {
     /// Steps left before [`Error::TooComplex`].
     pub fn remaining(&self) -> usize {
         self.remaining
+    }
+
+    /// The formula-search work this budget has paid for.
+    pub fn formula_stats(&self) -> FormulaStats {
+        self.formula
     }
 
     /// The attached cache, if caching is both attached and enabled.

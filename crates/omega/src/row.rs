@@ -432,13 +432,15 @@ mod tests {
     #[test]
     fn reminting_dead_content_is_counted() {
         let probe = expr(0x4e11_1111, -66_123);
-        drop(intern(probe.clone()));
-        let before = stats().reminted;
         // Same content, same bucket, dead entry still resident unless a
         // sweep raced us — in which case this interns fresh and the
         // counter may not move; assert monotonicity only plus the strong
-        // case when no sweep intervened.
+        // case when no sweep intervened. The sweep count is read before
+        // the row dies, so a sweep between the drop and the re-intern
+        // is seen too.
         let swept_before = stats().sweeps;
+        drop(intern(probe.clone()));
+        let before = stats().reminted;
         let _again = intern(probe.clone());
         let after = stats();
         if after.sweeps == swept_before {

@@ -185,7 +185,8 @@ impl ProblemSet {
     /// Returns [`Error::SpaceMismatch`] for incompatible spaces and
     /// propagates solver errors (including
     /// [`Error::TooComplex`] when stride negation exceeds the
-    /// quantifier-elimination budget).
+    /// quantifier-elimination budget, and [`Error::TooDeep`] when it
+    /// nests past the formula layer's depth guard).
     pub fn is_subset_of(&self, other: &ProblemSet, budget: &mut Budget) -> Result<bool> {
         for p in &self.pieces {
             // Widen the space to cover every operand's wildcards.

@@ -1,7 +1,8 @@
 //! Property tests for the Presburger formula layer: random
-//! quantifier-free formulas (and single-level bounded quantifiers) are
-//! checked against a direct brute-force evaluator, on the in-repo
-//! `harness` property framework.
+//! quantifier-free formulas — linear and (non-)divisibility atoms under
+//! `∧` of up to six conjuncts, `∨` and `¬` — and single-level bounded
+//! quantifiers are checked against a direct brute-force evaluator, on the
+//! in-repo `harness` property framework.
 
 use harness::prop::{check_value, check_with, Config, Shrink};
 use harness::{prop_assert_eq, Rng};
@@ -25,10 +26,21 @@ struct AtomSpec {
     eq: bool,
 }
 
+/// A random divisibility atom `g | a·x + b·y + c` (negated: `g ∤ …`).
+#[derive(Debug, Clone)]
+struct DivSpec {
+    g: i64,
+    a: i64,
+    b: i64,
+    c: i64,
+    neg: bool,
+}
+
 /// A random quantifier-free formula tree (as a serializable spec).
 #[derive(Debug, Clone)]
 enum Spec {
     Atom(AtomSpec),
+    Div(DivSpec),
     And(Vec<Spec>),
     Or(Vec<Spec>),
     Not(Box<Spec>),
@@ -43,18 +55,56 @@ fn gen_atom(rng: &mut Rng) -> AtomSpec {
     }
 }
 
-/// Mirrors the old `prop_recursive(3, …)` distribution: at most 3
-/// levels of connectives above the atoms.
+fn gen_div(rng: &mut Rng) -> DivSpec {
+    DivSpec {
+        g: rng.gen_range_i64(0..=4),
+        a: rng.gen_range_i64(-3..=3),
+        b: rng.gen_range_i64(-3..=3),
+        c: rng.gen_range_i64(-5..=5),
+        neg: rng.gen_bool(0.5),
+    }
+}
+
+/// At most 3 levels of connectives above the atoms (the old
+/// `prop_recursive(3, …)` shape). A quarter of the atoms are
+/// (non-)divisibility atoms, each bringing existentials of its own, and
+/// half the conjunctions have 3–6 conjuncts, so existentials of sibling
+/// conjuncts meet in one branch of the search.
 fn gen_spec(rng: &mut Rng, depth: u32) -> Spec {
     if depth == 0 || rng.gen_bool(0.4) {
-        return Spec::Atom(gen_atom(rng));
+        return if rng.gen_bool(0.25) {
+            Spec::Div(gen_div(rng))
+        } else {
+            Spec::Atom(gen_atom(rng))
+        };
     }
     let n = rng.gen_range_usize(1..=2);
     match rng.gen_range_usize(0..=2) {
-        0 => Spec::And((0..n).map(|_| gen_spec(rng, depth - 1)).collect()),
+        0 => {
+            let n = if rng.gen_bool(0.5) { rng.gen_range_usize(3..=6) } else { n };
+            Spec::And((0..n).map(|_| gen_spec(rng, depth - 1)).collect())
+        }
         1 => Spec::Or((0..n).map(|_| gen_spec(rng, depth - 1)).collect()),
         _ => Spec::Not(Box::new(gen_spec(rng, depth - 1))),
     }
+}
+
+/// A flat conjunction of 3–6 atoms, half of them (non-)divisibility
+/// atoms: the shape where the existentials of sibling conjuncts must not
+/// share a column.
+fn gen_conjunction(rng: &mut Rng) -> Spec {
+    let n = rng.gen_range_usize(3..=6);
+    Spec::And(
+        (0..n)
+            .map(|_| {
+                if rng.gen_bool(0.5) {
+                    Spec::Div(gen_div(rng))
+                } else {
+                    Spec::Atom(gen_atom(rng))
+                }
+            })
+            .collect(),
+    )
 }
 
 fn shrink_spec(spec: &Spec) -> Vec<Spec> {
@@ -63,6 +113,12 @@ fn shrink_spec(spec: &Spec) -> Vec<Spec> {
             .shrink()
             .into_iter()
             .map(|(a, b, c, eq)| Spec::Atom(AtomSpec { a, b, c, eq }))
+            .collect(),
+        Spec::Div(d) => (d.g, d.a, d.b, d.c, d.neg)
+            .shrink()
+            .into_iter()
+            .filter(|&(g, ..)| g >= 0)
+            .map(|(g, a, b, c, neg)| Spec::Div(DivSpec { g, a, b, c, neg }))
             .collect(),
         Spec::And(fs) => {
             let mut out = fs.clone();
@@ -104,6 +160,14 @@ fn build(spec: &Spec, x: VarId, y: VarId) -> Formula {
                 Formula::Atom(Constraint::geq(e))
             }
         }
+        Spec::Div(d) => {
+            let e = LinExpr::term(d.a, x).plus_term(d.b, y).plus_const(d.c);
+            if d.neg {
+                Formula::NotDivides(d.g, e)
+            } else {
+                Formula::Divides(d.g, e)
+            }
+        }
         Spec::And(fs) => Formula::and(fs.iter().map(|f| build(f, x, y)).collect()),
         Spec::Or(fs) => Formula::or(fs.iter().map(|f| build(f, x, y)).collect()),
         Spec::Not(f) => Formula::not(build(f, x, y)),
@@ -119,6 +183,11 @@ fn eval(spec: &Spec, xv: i64, yv: i64) -> bool {
             } else {
                 v >= 0
             }
+        }
+        Spec::Div(d) => {
+            let v = d.a * xv + d.b * yv + d.c;
+            let divides = if d.g == 0 { v == 0 } else { v.rem_euclid(d.g) == 0 };
+            divides != d.neg
         }
         Spec::And(fs) => fs.iter().all(|f| eval(f, xv, yv)),
         Spec::Or(fs) => fs.iter().any(|f| eval(f, xv, yv)),
@@ -180,12 +249,12 @@ fn prop_forall_exists_shape(spec: &Spec) -> Result<(), String> {
     // ∀x. (-BOX <= x <= BOX) ⇒ inner
     let f = Formula::forall(vec![x], bounds(x, -BOX, BOX).implies(inner));
     let mut budget = omega::Budget::default();
-    // Deeply alternating formulas may hit the documented complexity
-    // guard (negating a union whose pieces share wildcards needs full
-    // Presburger QE); those conservative failures are skipped.
+    // Deeply alternating formulas may hit the documented complexity or
+    // nesting-depth guard (negating a union whose pieces share wildcards
+    // needs full Presburger QE); those conservative failures are skipped.
     let solved = match f.is_valid(&s, &mut budget) {
         Ok(v) => v,
-        Err(omega::Error::TooComplex { .. }) => return Ok(()),
+        Err(omega::Error::TooComplex { .. } | omega::Error::TooDeep { .. }) => return Ok(()),
         Err(e) => return Err(format!("{e}")),
     };
     let brute = (-BOX..=BOX).all(|xv| (-BOX..=BOX).any(|yv| eval(spec, xv, yv)));
@@ -218,6 +287,19 @@ fn run(property: impl Fn(&Spec) -> Result<(), String>) {
 #[test]
 fn quantifier_free_sat() {
     run(prop_quantifier_free_sat);
+}
+
+#[test]
+fn divisibility_conjunctions_sat() {
+    check_with(
+        &Config::with_cases(192),
+        gen_conjunction,
+        shrink_spec,
+        |spec| {
+            prop_quantifier_free_sat(spec)?;
+            prop_valid_iff_negation_unsat(spec)
+        },
+    );
 }
 
 #[test]

@@ -68,8 +68,9 @@ OPTIONS:
                   save it back after, so re-analyzing the same program
                   is served from cache. The report is byte-identical
                   either way.
-  --stats         print solver-cache, row-store and pre-filter
-                  counters to stderr after the analysis
+  --stats         print solver-cache, row-store, pre-filter and
+                  exact-formula fallback counters to stderr after
+                  the analysis
   --serve         run as a long-lived analysis server on
                   stdin/stdout: line-delimited JSON requests in,
                   one JSON response per line out, with the solver
@@ -316,6 +317,19 @@ fn run_corpus(opts: &Options) -> ExitCode {
         print!("{}", render_text_report(info, analysis, &view));
     }
     if opts.stats {
+        let mut fallback = omega::FormulaStats::default();
+        let mut give_ups = Vec::new();
+        for ((name, _), analysis) in named.iter().zip(&analyses) {
+            let f = analysis.stats.fallback;
+            fallback.absorb(f);
+            if f.give_ups > 0 {
+                give_ups.push(format!("{name} {}", f.give_ups));
+            }
+        }
+        eprintln!("corpus {}", fallback_line(&fallback));
+        if !give_ups.is_empty() {
+            eprintln!("fallback give-ups by program: {}", give_ups.join(", "));
+        }
         // Every analysis carries the same corpus-total cache snapshot;
         // read it off the last one.
         if let Some(last) = analyses.last() {
@@ -351,6 +365,14 @@ fn run_corpus(opts: &Options) -> ExitCode {
         );
     }
     ExitCode::SUCCESS
+}
+
+/// The `--stats` line for the exact-formula fallback's work.
+fn fallback_line(f: &omega::FormulaStats) -> String {
+    format!(
+        "fallback: {} calls, {} branches explored, {} give-ups (kept conservative)",
+        f.searches, f.branches, f.give_ups
+    )
 }
 
 fn read_input(input: &str) -> Result<String, String> {
@@ -446,6 +468,7 @@ fn main() -> ExitCode {
             p.range,
             p.symbolic_range
         );
+        eprintln!("{}", fallback_line(&analysis.stats.fallback));
         eprintln!(
             "alloc: {} allocations during analysis ({} live blocks, peak {} bytes)",
             alloc_after.allocs - alloc_before.allocs,

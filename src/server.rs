@@ -54,10 +54,14 @@
 //! (`built`, `live`, `dead`, `interns`, `shared`, `reminted`, `sweeps`,
 //! `swept`, `shards`) and the solver cache's (`hits`, `misses`,
 //! `inserts`, `entries`, `full_canons`, `delta_canons`, `base_forms`,
-//! `base_sweeps`, `base_evicted`, `hit_rate`):
+//! `base_sweeps`, `base_evicted`, `hit_rate`) and, summed over every
+//! analysis served, the exact-formula fallback's (`calls`, `branches`
+//! explored, `give_ups` — calls that exceeded their budget or nesting
+//! guard and stayed conservative):
 //!
 //! ```text
-//! {"id":4,"ok":true,"stats":{"requests":4,"rows":{"built":...},"cache":{"hits":...}}}
+//! {"id":4,"ok":true,"stats":{"requests":4,"rows":{"built":...},
+//!   "cache":{"hits":...},"fallback":{"calls":...}}}
 //! ```
 //!
 //! Reports are **byte-identical** to what a one-shot `tinydep` run with
@@ -120,7 +124,7 @@ use std::fmt::Write as _;
 use std::io::{BufRead as _, Write as _};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex};
 
 use depend::{Config, ReportOptions};
 
@@ -333,6 +337,8 @@ pub struct Server {
     threads: usize,
     cache_file: Option<PathBuf>,
     requests: AtomicU64,
+    /// Exact-formula fallback work summed over every analysis served.
+    fallback: Mutex<omega::FormulaStats>,
     shutdown: AtomicBool,
 }
 
@@ -368,6 +374,7 @@ impl Server {
             threads,
             cache_file,
             requests: AtomicU64::new(0),
+            fallback: Mutex::new(omega::FormulaStats::default()),
             shutdown: AtomicBool::new(false),
         }
     }
@@ -497,13 +504,18 @@ impl Server {
         config: &Config,
         pool: Option<&depend::Pool>,
     ) -> Result<depend::Analysis, String> {
-        match pool {
+        let analysis = match pool {
             Some(pool) => {
                 depend::analyze_program_on(pool, info, config, Some(Arc::clone(&self.cache)))
             }
             None => depend::analyze_program_with_cache(info, config, Some(Arc::clone(&self.cache))),
         }
-        .map_err(|e| format!("analysis failed: {e}"))
+        .map_err(|e| format!("analysis failed: {e}"))?;
+        self.fallback
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .absorb(analysis.stats.fallback);
+        Ok(analysis)
     }
 
     fn try_analyze(&self, req: &Json, pool: Option<&depend::Pool>) -> Result<String, String> {
@@ -564,18 +576,20 @@ impl Server {
         Ok(depend::render_parallelize_report(&program, &graph))
     }
 
-    /// Row-store and solver-cache counters as a JSON object — the body
-    /// of a `stats` response.
+    /// Row-store, solver-cache and fallback counters as a JSON object —
+    /// the body of a `stats` response.
     pub fn stats_json(&self) -> String {
         let r = omega::row_store_stats();
         let c = self.cache.stats();
+        let f = *self.fallback.lock().unwrap_or_else(|e| e.into_inner());
         format!(
             "{{\"requests\":{},\
              \"rows\":{{\"built\":{},\"live\":{},\"dead\":{},\"interns\":{},\
              \"shared\":{},\"reminted\":{},\"sweeps\":{},\"swept\":{},\"shards\":{}}},\
              \"cache\":{{\"hits\":{},\"misses\":{},\"inserts\":{},\"entries\":{},\
              \"full_canons\":{},\"delta_canons\":{},\"base_forms\":{},\
-             \"base_sweeps\":{},\"base_evicted\":{},\"hit_rate\":\"{:.4}\"}}}}",
+             \"base_sweeps\":{},\"base_evicted\":{},\"hit_rate\":\"{:.4}\"}},\
+             \"fallback\":{{\"calls\":{},\"branches\":{},\"give_ups\":{}}}}}",
             self.requests.load(Ordering::Relaxed),
             r.built,
             r.live,
@@ -596,6 +610,9 @@ impl Server {
             c.base_sweeps,
             c.base_evicted,
             c.hit_rate(),
+            f.searches,
+            f.branches,
+            f.give_ups,
         )
     }
 
@@ -835,6 +852,15 @@ mod tests {
         assert!(stats.get("requests").and_then(Json::as_i64).unwrap() >= 2);
         assert!(stats.get("rows").and_then(|r| r.get("built")).is_some());
         assert!(stats.get("cache").and_then(|c| c.get("hits")).is_some());
+        // odd_even's one fallback give-up (the nesting guard) is counted.
+        s.handle_line("{\"op\":\"analyze\",\"corpus\":\"odd_even\"}")
+            .unwrap();
+        let r = s.handle_line("{\"op\":\"stats\"}").unwrap();
+        let v = json::parse(&r.line).unwrap();
+        let fallback = v.get("stats").and_then(|s| s.get("fallback")).expect("fallback");
+        assert!(fallback.get("calls").and_then(Json::as_i64).unwrap() >= 1);
+        assert!(fallback.get("branches").and_then(Json::as_i64).is_some());
+        assert_eq!(fallback.get("give_ups").and_then(Json::as_i64), Some(1));
 
         let r = s.handle_line("{\"id\":3,\"op\":\"gc\"}").unwrap();
         let v = json::parse(&r.line).unwrap();

@@ -199,3 +199,28 @@ fn removed_options_are_rejected() {
     let stderr = String::from_utf8(out.stderr).unwrap();
     assert!(stderr.contains("unknown option --no-base-checkpoint"), "{stderr}");
 }
+
+#[test]
+fn stats_report_the_fallback_and_name_give_ups() {
+    let out = tinydep()
+        .args(["--stats", "corpus:red_black"])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(
+        stderr.contains("branches explored, 2 give-ups (kept conservative)"),
+        "{stderr}"
+    );
+    let out = tinydep()
+        .args(["--stats", "corpus:odd_even", "corpus:red_black", "corpus:example1"])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(stderr.contains("3 give-ups (kept conservative)"), "{stderr}");
+    assert!(
+        stderr.contains("fallback give-ups by program: corpus:odd_even 1, corpus:red_black 2"),
+        "{stderr}"
+    );
+}

@@ -53,6 +53,15 @@ const CHOLSKY_COLD_ALLOC_BUDGET: u64 = 102_000;
 const CHOLSKY_COLD_RATIO_BUDGET: f64 = 3.75;
 const CHOLSKY_COLD_DEBUG_MS: f64 = 4_500.0;
 
+/// Per-program outlier gate: `stepped_reset`'s cold extended analysis
+/// against its cold standard analysis, as the median of
+/// `OUTLIER_ROUNDS` interleaved per-round ratios. Median 2.84 over 12
+/// release runs of this test (2.79–2.92) times the cold gate's headroom
+/// 45/30; the materialized-DNF fallback measured 286x here.
+const STEPPED_RESET_RATIO_BUDGET: f64 = 4.3;
+const STEPPED_RESET_DEBUG_MS: f64 = 3_000.0;
+const OUTLIER_ROUNDS: usize = 9;
+
 /// Held by every test here, so a wall-time gate never shares the
 /// machine with another test of this binary.
 static SERIAL: Mutex<()> = Mutex::new(());
@@ -273,4 +282,45 @@ fn single_pair_analysis_is_microseconds_scale() {
         per_pair.as_micros() < limit_us,
         "per-pair analysis {per_pair:?} exceeds {limit_us} us"
     );
+}
+
+#[test]
+fn stepped_reset_extended_analysis_is_not_an_outlier() {
+    let _serial = serial();
+    let program = tiny::Program::parse(tiny::corpus::STEPPED_RESET).unwrap();
+    let info = tiny::analyze(&program).unwrap();
+    let extended = Config {
+        threads: 1,
+        ..Config::extended()
+    };
+    let standard = Config {
+        threads: 1,
+        ..Config::standard()
+    };
+    // Each side runs a few analyses per round, so one round is a few
+    // milliseconds even for the small standard analysis.
+    let run = |config: &Config| {
+        for _ in 0..4 {
+            let _ = analyze_program(&info, config).unwrap();
+        }
+    };
+    run(&extended);
+    run(&standard);
+    let (ratio, ext_ms, std_ms) =
+        interleaved_ratio(OUTLIER_ROUNDS, || run(&extended), || run(&standard));
+    eprintln!("stepped_reset: extended {ext_ms:.2} ms, standard {std_ms:.2} ms, ratio {ratio:.3}");
+    if cfg!(debug_assertions) {
+        assert!(
+            ext_ms <= STEPPED_RESET_DEBUG_MS,
+            "4 extended stepped_reset analyses took {ext_ms:.1} ms \
+             (limit {STEPPED_RESET_DEBUG_MS} ms)"
+        );
+    } else {
+        assert!(
+            ratio <= STEPPED_RESET_RATIO_BUDGET,
+            "extended stepped_reset took {ratio:.3}x its standard analysis \
+             ({ext_ms:.2} vs {std_ms:.2} ms; limit {STEPPED_RESET_RATIO_BUDGET}): \
+             one query dominates the program again"
+        );
+    }
 }
